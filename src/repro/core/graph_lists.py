@@ -13,11 +13,18 @@ per query star, two *graph lists*:
 Concatenating a star's posting segments in top-k (SED-ascending) order makes
 each side a SED-ascending list: exactly the monotone score lists the CA
 round-robin scan and its halting threshold require.
+
+The lists are lazy.  Building one costs a single boundary search per top-k
+star (``upper.cut``); each side keeps only ``(postings, lo, hi, sed, sid)``
+segments over the size-sorted posting lists, and a :class:`GraphListEntry`
+exists only once the CA cursor reads its position.  CA reads a short prefix
+of each list, so most postings are never touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.star import Star, epsilon_distance
@@ -36,6 +43,61 @@ class GraphListEntry:
     freq: int  # occurrences of `sid` in the graph
 
 
+#: ``(postings, lo, hi, sed, sid)``: positions ``[lo, hi)`` of one top-k
+#: star's size-sorted postings, all scored with that star's SED.
+Segment = Tuple[Sequence, int, int, int, int]
+
+
+class GraphList:
+    """One size side of a query star's graph list, read through its segments.
+
+    Behaves as a read-only list of :class:`GraphListEntry` (``len``,
+    indexing, iteration, ``==`` and ``+``).  It reads the postings it was
+    built over, so a later index mutation does not change it.
+    """
+
+    __slots__ = ("_segments", "_starts", "_len")
+
+    def __init__(self, segments: Sequence[Segment]) -> None:
+        self._segments = list(segments)
+        self._starts: List[int] = []
+        total = 0
+        for _, lo, hi, _, _ in self._segments:
+            self._starts.append(total)
+            total += hi - lo
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> GraphListEntry:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("graph list index out of range")
+        s = bisect_right(self._starts, i) - 1
+        postings, lo, _, sed, sid = self._segments[s]
+        e = postings[lo + i - self._starts[s]]
+        return GraphListEntry(e.gid, e.order, sed, sid, e.freq)
+
+    def __iter__(self):
+        for postings, lo, hi, sed, sid in self._segments:
+            for i in range(lo, hi):
+                e = postings[i]
+                yield GraphListEntry(e.gid, e.order, sed, sid, e.freq)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (GraphList, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other) -> List[GraphListEntry]:
+        return list(self) + list(other)
+
+    def __repr__(self) -> str:
+        return f"GraphList({list(self)!r})"
+
+
 @dataclass
 class QueryStarLists:
     """Both size sides of the graph lists for one query star.
@@ -45,8 +107,8 @@ class QueryStarLists:
     """
 
     star: Star
-    small: List[GraphListEntry]
-    large: List[GraphListEntry]
+    small: GraphList
+    large: GraphList
     kth_sed: float
     epsilon: int
 
@@ -65,22 +127,25 @@ def build_query_star_lists(
     query_order: int,
     topk: TopKResult,
 ) -> QueryStarLists:
-    """Assemble the two graph lists for one query star from its top-k."""
+    """Assemble the two graph lists for one query star from its top-k.
+
+    One size-boundary search per top-k star; no posting is copied.
+    """
     eps = epsilon_distance(query_star)
-    small: List[GraphListEntry] = []
-    large: List[GraphListEntry] = []
+    small: List[Segment] = []
+    large: List[Segment] = []
     for sid, sed in topk.entries:
-        small_segment, large_segment = index.upper.split_by_order(sid, query_order)
-        if sed <= eps:
-            small.extend(
-                GraphListEntry(e.gid, e.order, sed, sid, e.freq)
-                for e in small_segment
-            )
-        large.extend(
-            GraphListEntry(e.gid, e.order, sed, sid, e.freq) for e in large_segment
-        )
+        postings, cut = index.upper.cut(sid, query_order)
+        if cut and sed <= eps:
+            small.append((postings, 0, cut, sed, sid))
+        if cut < len(postings):
+            large.append((postings, cut, len(postings), sed, sid))
     return QueryStarLists(
-        star=query_star, small=small, large=large, kth_sed=topk.kth_sed, epsilon=eps
+        star=query_star,
+        small=GraphList(small),
+        large=GraphList(large),
+        kth_sed=topk.kth_sed,
+        epsilon=eps,
     )
 
 

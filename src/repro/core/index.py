@@ -140,6 +140,22 @@ def _lower_sort_key(entry: LowerEntry) -> Tuple[int, int, int]:
     return (entry.leaf_size, -entry.freq, entry.sid)
 
 
+def order_cut(entries: Sequence[UpperEntry], order: int) -> int:
+    """First position in size-sorted *entries* whose graph is larger than *order*.
+
+    The O(log |GL|) boundary search of Section V-B.  It probes ``.order``
+    directly, so no key column is built.
+    """
+    lo, hi = 0, len(entries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if entries[mid].order <= order:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class _LazySortedList:
     """A dict of postings with a lazily rebuilt sorted materialisation."""
 
@@ -197,21 +213,25 @@ class UpperLevelIndex:
         postings = self._lists.get(sid)
         return list(postings.view()) if postings is not None else []
 
+    def cut(self, sid: int, order: int) -> Tuple[Sequence[UpperEntry], int]:
+        """The size-sorted postings of *sid* and the end of its ``≤ order`` prefix.
+
+        Nothing is copied: the postings are the cached sorted view, which a
+        later mutation replaces rather than edits, so a caller holding it
+        keeps reading the postings of the moment it asked.
+        """
+        postings = self._lists.get(sid)
+        if postings is None:
+            return (), 0
+        entries = postings.view()
+        return entries, order_cut(entries, order)
+
     def split_by_order(
         self, sid: int, order: int
     ) -> Tuple[List[UpperEntry], List[UpperEntry]]:
-        """Split the list for *sid* into (size ≤ order, size > order).
-
-        Binary search over the size-sorted list, the O(log |GL|) step of
-        Section V-B.
-        """
-        view = self._lists.get(sid)
-        if view is None:
-            return [], []
-        entries = view.view()
-        keys = [e.order for e in entries]
-        cut = bisect_right(keys, order)
-        return list(entries[:cut]), list(entries[cut:])
+        """Copies of *sid*'s postings split into (size ≤ order, size > order)."""
+        postings, cut = self.cut(sid, order)
+        return list(postings[:cut]), list(postings[cut:])
 
     def stats(self) -> Tuple[int, int]:
         """Return ``(number of lists, total postings)``."""

@@ -41,7 +41,7 @@ from ..errors import (
 )
 from ..graphs.model import Graph
 from ..graphs.star import Star
-from .index import GraphMeta, LowerEntry, UpperEntry
+from .index import GraphMeta, LowerEntry, UpperEntry, order_cut
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS stars (
@@ -146,26 +146,16 @@ class _SqliteUpper:
             )
         ]
 
+    def cut(self, sid: int, order: int) -> Tuple[List[UpperEntry], int]:
+        """One size-ordered read of *sid*'s postings, and the ``≤ order`` boundary."""
+        postings = self.postings(sid)
+        return postings, order_cut(postings, order)
+
     def split_by_order(
         self, sid: int, order: int
     ) -> Tuple[List[UpperEntry], List[UpperEntry]]:
-        small = [
-            UpperEntry(gid, freq, o)
-            for gid, freq, o in self._conn.execute(
-                "SELECT gid, freq, ord FROM upper_postings "
-                "WHERE sid = ? AND ord <= ? ORDER BY ord, gid",
-                (sid, order),
-            )
-        ]
-        large = [
-            UpperEntry(gid, freq, o)
-            for gid, freq, o in self._conn.execute(
-                "SELECT gid, freq, ord FROM upper_postings "
-                "WHERE sid = ? AND ord > ? ORDER BY ord, gid",
-                (sid, order),
-            )
-        ]
-        return small, large
+        postings, cut = self.cut(sid, order)
+        return postings[:cut], postings[cut:]
 
     def stats(self) -> Tuple[int, int]:
         (lists,) = self._conn.execute(

@@ -1381,11 +1381,12 @@ class LazyGraphStore(MutableMapping):
     def __delitem__(self, gid: object) -> None:
         if gid in self._overlay:
             del self._overlay[gid]
-        elif gid in self._base and gid not in self._removed:
+        elif gid not in self._base or gid in self._removed:
+            raise KeyError(gid)
+        # An overlay copy only shadowed the base copy; hide that one too.
+        if gid in self._base:
             self._removed.add(gid)
             self._cache.pop(gid, None)
-        else:
-            raise KeyError(gid)
 
     def __contains__(self, gid: object) -> bool:  # no parse for membership
         if gid in self._overlay:
@@ -1484,12 +1485,47 @@ class _MappedCatalog:
         return self._owner._materialize().catalog.release(sid, count)
 
 
+class _MappedPostings:
+    """One star's size-sorted postings, read from the upper-level CSR.
+
+    An :class:`~repro.core.index.UpperEntry` is built only when a
+    position is read; nothing is cached.
+    """
+
+    __slots__ = ("_entry", "_gid_list", "_gids", "_freqs", "_orders", "_lo", "_hi")
+
+    def __init__(self, disk: "DiskCatalog", lo: int, hi: int) -> None:
+        from ..core.index import UpperEntry
+
+        self._entry = UpperEntry
+        self._gid_list = disk.gid_list()
+        self._gids = disk.ints("up_gids")
+        self._freqs = disk.ints("up_freqs")
+        self._orders = disk.ints("up_orders")
+        self._lo = lo
+        self._hi = hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        at = i + (self._hi if i < 0 else self._lo)
+        if not self._lo <= at < self._hi:
+            raise IndexError("posting index out of range")
+        return self._entry(
+            self._gid_list[int(self._gids[at])],
+            int(self._freqs[at]),
+            int(self._orders[at]),
+        )
+
+
 class _MappedUpper:
-    """Upper-level facade: per-sid postings materialised lazily."""
+    """Upper-level facade over the ``up_*`` CSR columns."""
 
     def __init__(self, owner: "MappedTwoLevelIndex") -> None:
         self._owner = owner
-        self._postings: Dict[int, List] = {}
 
     def __contains__(self, sid: int) -> bool:
         inner = self._owner._inner
@@ -1503,40 +1539,29 @@ class _MappedUpper:
             return inner.upper.sids()
         return range(self._owner._disk.n_stars)
 
-    def _entries(self, sid: int) -> List:
-        from ..core.index import UpperEntry
-
-        entries = self._postings.get(sid)
-        if entries is None:
-            disk = self._owner._disk
-            off = disk.ints("up_off")
-            gids = disk.ints("up_gids")
-            freqs = disk.ints("up_freqs")
-            orders = disk.ints("up_orders")
-            gid_list = disk.gid_list()
-            entries = self._postings[sid] = [
-                UpperEntry(gid_list[int(gids[i])], int(freqs[i]), int(orders[i]))
-                for i in range(int(off[sid]), int(off[sid + 1]))
-            ]
-        return entries
-
     def postings(self, sid: int) -> List:
         inner = self._owner._inner
         if inner is not None:
             return inner.upper.postings(sid)
-        if not 0 <= sid < self._owner._disk.n_stars:
-            return []
-        return list(self._entries(sid))
+        postings, _ = self.cut(sid, 0)
+        return list(postings)
 
-    def split_by_order(self, sid: int, order: int):
+    def cut(self, sid: int, order: int):
+        """*sid*'s postings as a CSR view, and the end of its ``≤ order`` prefix."""
         inner = self._owner._inner
         if inner is not None:
-            return inner.upper.split_by_order(sid, order)
-        if not 0 <= sid < self._owner._disk.n_stars:
-            return [], []
-        entries = self._entries(sid)
-        cut = bisect_right([e.order for e in entries], order)
-        return list(entries[:cut]), list(entries[cut:])
+            return inner.upper.cut(sid, order)
+        disk = self._owner._disk
+        if not 0 <= sid < disk.n_stars:
+            return (), 0
+        off = disk.ints("up_off")
+        lo, hi = int(off[sid]), int(off[sid + 1])
+        cut = bisect_right(disk.ints("up_orders"), order, lo, hi)
+        return _MappedPostings(disk, lo, hi), cut - lo
+
+    def split_by_order(self, sid: int, order: int):
+        postings, cut = self.cut(sid, order)
+        return list(postings[:cut]), list(postings[cut:])
 
     def stats(self) -> Tuple[int, int]:
         inner = self._owner._inner

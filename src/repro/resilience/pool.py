@@ -293,8 +293,12 @@ def run_supervised(
         outcome.workers_used = max(outcome.workers_used, spawn_workers)
 
         # -- dispatch (worker-side fault directives attach here) --------
+        # A worker can die while later tasks are still being submitted;
+        # the pool then refuses ``submit``.  That break is handled exactly
+        # like one reported by ``future.result`` below.
         submitted = []
         issued_points = set()
+        submit_break: Optional[BaseException] = None
         for task in pending:
             directive = None
             for point in WORKER_POINTS:
@@ -308,14 +312,14 @@ def run_supervised(
                 if pool_span is not None
                 else None
             )
-            submitted.append(
-                (
-                    task,
-                    pool.submit(
-                        _supervised_call, directive, task.fn, task.args, trace_ctx
-                    ),
+            try:
+                future = pool.submit(
+                    _supervised_call, directive, task.fn, task.args, trace_ctx
                 )
-            )
+            except BrokenProcessPool as exc:
+                submit_break = PoolBrokenError(str(exc) or "process pool broken")
+                break
+            submitted.append((task, future))
 
         # -- collect, salvaging in submission order ---------------------
         completed_round = 0
@@ -351,6 +355,7 @@ def run_supervised(
                 tracer.adopt(worker_spans)
             outcome.results[task.task_id] = value
             completed_round += 1
+        breaker = breaker or submit_break
 
         still_pending = [t for t in pending if t.task_id not in outcome.results]
 

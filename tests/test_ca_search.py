@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import queue
 import random
+import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.ca_search import ca_range_query
+from repro.core.engine import SegosIndex
 from repro.core.graph_lists import build_all_lists
 from repro.core.index import TwoLevelIndex
 from repro.core.stats import QueryStats
@@ -31,6 +36,12 @@ def build_setup(seed, count=25, mean_order=7):
     return rng, graphs, index
 
 
+def mutated_query(rng, graphs):
+    labels = make_label_alphabet(63, prefix="C")
+    base = rng.choice(list(graphs.values()))
+    return mutate(rng, base, rng.randint(0, 2), labels)
+
+
 def run_ca(index, graphs, query, tau, *, k=10, h=20, partial_fraction=0.5):
     lists = build_all_lists(index, decompose(query), query.order, k)
     return ca_range_query(
@@ -50,9 +61,7 @@ class TestSoundness:
     @pytest.mark.parametrize("tau", [0, 1, 2])
     def test_no_false_negatives_vs_exact_ged(self, seed, tau):
         rng, graphs, index = build_setup(seed)
-        labels = make_label_alphabet(63, prefix="C")
-        base = rng.choice(list(graphs.values()))
-        query = mutate(rng, base, rng.randint(0, 2), labels)
+        query = mutated_query(rng, graphs)
         truth = {
             gid
             for gid, g in graphs.items()
@@ -157,3 +166,98 @@ class TestStats:
         query = next(iter(graphs.values())).copy()
         result = run_ca(index, graphs, query, 50)
         assert set(result.candidates) == set(graphs)
+
+
+# ----------------------------------------------------------------------
+# Access counts behind Figs. 20-21, pinned for both CA executors
+# ----------------------------------------------------------------------
+class _SteppedSchedule:
+    """Thread and queue stand-ins that give the pipelined CA one schedule.
+
+    The TA stage runs to the end when started, so CA sees every list from
+    its first round.  The DC stages run only once CA blocks on their
+    results (or at ``join``), so no early DC verdict races the scan.
+    """
+
+    def __init__(self):
+        self.deferred = []
+        schedule = self
+
+        class Thread:
+            def __init__(self, target, args=(), name=None):
+                self._target, self._args, self.name = target, args, name
+                self._done = False
+
+            def start(self):
+                if self.name == "segos-ta":
+                    self.run()
+                else:
+                    schedule.deferred.append(self)
+
+            def run(self):
+                if not self._done:
+                    self._done = True
+                    self._target(*self._args)
+
+            join = run
+
+        class Queue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                while block and self.empty() and schedule.deferred:
+                    schedule.deferred.pop(0).run()
+                return super().get(block, timeout)
+
+        self.threading = SimpleNamespace(Thread=Thread, Event=threading.Event)
+        self.queue = SimpleNamespace(Queue=Queue, Empty=queue.Empty)
+
+
+def access_counts(stats):
+    return (
+        stats.list_entries_scanned,
+        stats.graphs_accessed,
+        stats.full_mapping_computations,
+    )
+
+
+def pipelined_counts(graphs, query, tau, monkeypatch):
+    schedule = _SteppedSchedule()
+    monkeypatch.setattr(pipeline, "threading", schedule.threading)
+    monkeypatch.setattr(pipeline, "queue", schedule.queue)
+    result = pipeline.PipelinedSegos(SegosIndex(graphs), k=10).range_query(query, tau=tau)
+    return access_counts(result.stats)
+
+
+#: (seed, tau) -> (list_entries_scanned, graphs_accessed,
+#: full_mapping_computations): serial CA (k=10, h=20), then pipelined CA.
+SERIAL_COUNTS = {
+    (0, 0): (12, 0, 0), (0, 1): (23, 0, 0), (0, 2): (70, 11, 9), (0, 3): (70, 24, 23),
+    (1, 0): (10, 0, 0), (1, 1): (20, 0, 0), (1, 2): (20, 1, 1), (1, 3): (40, 0, 0),
+    (2, 0): (24, 1, 0), (2, 1): (24, 1, 0), (2, 2): (24, 0, 0), (2, 3): (36, 0, 0),
+    (3, 0): (9, 0, 0), (3, 1): (18, 1, 1), (3, 2): (18, 1, 1), (3, 3): (45, 11, 9),
+    (4, 0): (13, 0, 0), (4, 1): (19, 1, 1), (4, 2): (37, 1, 1), (4, 3): (77, 11, 9),
+    (5, 0): (10, 0, 0), (5, 1): (20, 0, 0), (5, 2): (66, 14, 14), (5, 3): (66, 24, 23),
+}
+PIPELINED_COUNTS = {
+    (0, 0): (12, 0, 0), (0, 1): (23, 0, 0), (0, 2): (70, 11, 9), (0, 3): (70, 24, 23),
+    (1, 0): (10, 0, 0), (1, 1): (20, 0, 0), (1, 2): (20, 1, 1), (1, 3): (40, 1, 0),
+    (2, 0): (24, 1, 0), (2, 1): (24, 1, 0), (2, 2): (24, 1, 0), (2, 3): (36, 1, 0),
+    (3, 0): (9, 0, 0), (3, 1): (18, 1, 1), (3, 2): (18, 1, 1), (3, 3): (45, 11, 9),
+    (4, 0): (13, 0, 0), (4, 1): (19, 1, 1), (4, 2): (37, 1, 1), (4, 3): (77, 11, 9),
+    (5, 0): (10, 0, 0), (5, 1): (20, 1, 0), (5, 2): (66, 15, 14), (5, 3): (66, 25, 23),
+}
+
+
+class TestAccessCounts:
+    @pytest.mark.parametrize("seed, tau", sorted(SERIAL_COUNTS))
+    def test_serial_counts_pinned(self, seed, tau):
+        rng, graphs, index = build_setup(seed)
+        query = mutated_query(rng, graphs)
+        result = run_ca(index, graphs, query, tau)
+        assert access_counts(result.stats) == SERIAL_COUNTS[seed, tau]
+
+    @pytest.mark.parametrize("seed, tau", sorted(PIPELINED_COUNTS))
+    def test_pipelined_counts_pinned(self, seed, tau, monkeypatch):
+        rng, graphs, _ = build_setup(seed)
+        query = mutated_query(rng, graphs)
+        counts = pipelined_counts(graphs, query, tau, monkeypatch)
+        assert counts == PIPELINED_COUNTS[seed, tau]

@@ -296,6 +296,30 @@ class TestDeltaSegments:
         assert reloaded.disk_handle() is not None
         assert reloaded.graph(gid).size == engine.graph(gid).size
 
+    def test_base_graph_updated_in_two_segments_replays(self, saved):
+        """A base graph relabelled in two delta segments reloads relabelled.
+
+        Replaying the second segment removes the copy the first segment
+        re-added; the base copy must stay hidden rather than show through
+        and collide with the re-add.
+        """
+        _, _, path = saved
+        first = load_index(path)
+        gid = sorted(first.gids())[0]
+        first.relabel_vertex(gid, 0, "X1")
+        save_index(first, path)
+        second = load_index(path)
+        assert second.graph(gid).label(0) == "X1"
+        second.relabel_vertex(gid, 0, "X2")
+        save_index(second, path)
+        assert read_header(default_sidecar_path(path)).delta_count == 2
+        reloaded = load_index(path)
+        assert reloaded.disk_handle() is not None
+        assert reloaded.graph(gid).label(0) == "X2"
+        assert sorted(reloaded.gids()) == sorted(second.gids())
+        rebuilt = load_index(path, mmap=False)
+        assert rebuilt.graph(gid).label(0) == "X2"
+
     def test_compact_zero_always_rewrites(self, tmp_path):
         data, engine = build_corpus(delta_compact=0.0)
         path = tmp_path / "db.segos"

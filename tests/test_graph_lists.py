@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from repro.core.graph_lists import build_all_lists, build_query_star_lists
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.engine import SegosIndex
+from repro.core.graph_lists import (
+    GraphList,
+    GraphListEntry,
+    build_all_lists,
+    build_query_star_lists,
+)
 from repro.core.index import TwoLevelIndex
+from repro.core.persistence import load_index, save_index
 from repro.core.ta_search import top_k_stars
+from repro.datasets import aids_like
 from repro.graphs.model import Graph
 from repro.graphs.star import Star, decompose, epsilon_distance
+from repro.perf import columnar, diskcat
 
 
 @pytest.fixture
@@ -81,3 +95,89 @@ class TestBuildLists:
         empty_lists = build_query_star_lists(empty, missing, 5, empty_topk)
         assert empty_lists.small == [] and empty_lists.large == []
         assert empty_lists.kth_sed == float("inf")
+
+
+# ----------------------------------------------------------------------
+# Lazy lists against an eager reference, on every upper-level backend
+# ----------------------------------------------------------------------
+def eager_reference(index, star, query_order, topk):
+    """Both sides built the eager way: one entry per posting, up front."""
+    eps = epsilon_distance(star)
+    small, large = [], []
+    for sid, sed in topk.entries:
+        for e in index.upper.postings(sid):
+            entry = GraphListEntry(e.gid, e.order, sed, sid, e.freq)
+            if e.order > query_order:
+                large.append(entry)
+            elif sed <= eps:
+                small.append(entry)
+    return small, large
+
+
+def open_engine(backend, graphs, workdir, monkeypatch):
+    if backend in ("memory", "sqlite"):
+        return SegosIndex(graphs, backend=backend)
+    path = Path(workdir) / "db.segos"
+    save_index(SegosIndex(graphs), path)
+    if backend == "mapped-pure":
+        monkeypatch.setattr(diskcat, "_np", None)
+        monkeypatch.setattr(columnar, "_np", None)
+    engine = load_index(path)
+    assert engine.disk_handle() is not None and not engine.index.promoted
+    return engine
+
+
+def assert_list_like(lazy, reference):
+    assert len(lazy) == len(reference)
+    assert list(lazy) == reference
+    assert lazy == reference
+    for i in range(-len(reference), len(reference)):
+        assert lazy[i] == reference[i]
+    for i in (len(reference), -len(reference) - 1):
+        with pytest.raises(IndexError):
+            lazy[i]
+
+
+class TestLazyLists:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        backend=st.sampled_from(["memory", "sqlite", "mapped", "mapped-pure"]),
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 10),
+        k=st.integers(1, 8),
+        order_shift=st.integers(-3, 3),
+        mutation=st.sampled_from(["add", "remove", "relabel_vertex"]),
+    )
+    def test_lists_match_eager_reference(
+        self, backend, seed, n, k, order_shift, mutation
+    ):
+        graphs = aids_like(n, seed=seed, mean_order=6, stddev=2).graphs
+        query = graphs[sorted(graphs)[seed % n]]
+        query_order = max(1, query.order + order_shift)
+        with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as mp:
+            engine = open_engine(backend, graphs, workdir, mp)
+            cache = {}
+            stars = decompose(query)
+            lists = build_all_lists(engine.index, stars, query_order, k, topk_cache=cache)
+            references = [
+                eager_reference(engine.index, star, query_order, cache[star.signature])
+                for star in stars
+            ]
+            for ql, (small, large) in zip(lists, references):
+                assert isinstance(ql.small, GraphList)
+                assert_list_like(ql.small, small)
+                assert_list_like(ql.large, large)
+
+            # Snapshot stability: a mutation after the build, aimed at a
+            # graph the lists point to, changes nothing already built.
+            listed = [e.gid for ql in lists for e in ql.small + ql.large]
+            target = listed[0] if listed else sorted(graphs)[0]
+            if mutation == "add":
+                engine.add("copy-of-" + str(target), engine.graph(target).copy())
+            elif mutation == "remove":
+                engine.remove(target)
+            else:
+                engine.relabel_vertex(target, 0, "Zz")
+            for ql, (small, large) in zip(lists, references):
+                assert list(ql.small) == small
+                assert list(ql.large) == large

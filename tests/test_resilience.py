@@ -13,6 +13,7 @@ import os
 import pathlib
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from repro.resilience import (
     resolve_fault_plan,
     run_supervised,
 )
+from repro.resilience import pool as pool_module
 from repro.resilience.faults import INJECTION_POINTS
 
 
@@ -232,6 +234,16 @@ def _executions(marker_dir, task_id):
     return len(path.read_text().splitlines()) if path.exists() else 0
 
 
+class _OneAtATimePool(ProcessPoolExecutor):
+    """A pool that submits a task only once the previous one has ended."""
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        done, _ = wait([future], timeout=60)
+        assert done, "task did not finish within 60 s"
+        return future
+
+
 FAST = ResiliencePolicy(task_timeout=None, max_pool_retries=2, retry_backoff=0.0)
 
 
@@ -286,6 +298,35 @@ class TestRunSupervised:
         assert event.point == "worker.crash" and event.injected
         assert event.salvaged == 1 and event.requeued == 2 and event.lost == 0
         assert event.fallback == "respawn" and event.retries == 1
+
+    def test_break_during_dispatch_is_a_pool_break(self, monkeypatch):
+        """A worker that dies before dispatch finishes must not escape.
+
+        The patched pool waits for each task before accepting the next,
+        so the crash directive on task 0 always breaks the pool before
+        task 1 is submitted: ``submit`` itself raises ``BrokenProcessPool``.
+        That break must take the same respawn path as one seen through
+        ``future.result``.
+        """
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _OneAtATimePool)
+        faults = FaultPlan.parse("worker.crash:chunk=0:times=1")
+        outcome = run_supervised(_tasks(), workers=1, policy=FAST, faults=faults)
+        assert outcome.ok
+        assert outcome.results == {0: 0, 1: 2, 2: 4}
+        (event,) = outcome.events
+        assert event.point == "worker.crash" and event.injected
+        assert event.fallback == "respawn" and event.requeued == 3
+
+    def test_break_during_dispatch_opens_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _OneAtATimePool)
+        policy = ResiliencePolicy(task_timeout=None, max_pool_retries=1, retry_backoff=0.0)
+        faults = FaultPlan.parse("worker.crash:chunk=0:times=inf")
+        outcome = run_supervised(_tasks(), workers=1, policy=policy, faults=faults)
+        assert not outcome.ok
+        assert outcome.unfinished == [0, 1, 2]
+        terminal = outcome.events[-1]
+        assert terminal.point == "worker.crash"
+        assert terminal.fallback == "serial" and terminal.lost == 3
 
     def test_worker_hang_bounded_by_task_timeout(self):
         policy = ResiliencePolicy(task_timeout=1.0, max_pool_retries=2, retry_backoff=0.0)
