@@ -99,11 +99,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"pruned {dict(result.stats.pruned_by)}, "
         f"{result.elapsed * 1000:.1f} ms"
     )
-    if result.stats.shards_scattered or result.stats.shards_pruned:
-        print(
-            f"shards: {result.stats.shards_scattered} scattered, "
-            f"{result.stats.shards_pruned} pruned"
-        )
     # Degraded execution (worker lost, pool retried, serial fallback) must
     # be visible to the operator, not only in programmatic stats.
     for event in result.stats.degradations:
@@ -177,26 +172,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     # here — this command is how you *replace* one), then columnarise.
     engine = load_index(args.database, mmap=False)
     sidecar = args.output or sidecar_path_for(args.database, engine.config)
-    if getattr(args, "shards", 1) and args.shards > 1:
-        from .perf.shard import persist_shards, sharded_view
-
-        config = engine.config.override(
-            shards=args.shards, shard_pivots=args.pivots
-        )
-        paths = persist_shards(engine, sidecar, config=config)
-        view = sharded_view(engine, config)
-        for shard, path in zip(view.shards, paths):
-            size = os.path.getsize(path)
-            print(
-                f"  shard {shard.shard_id}: {len(shard.gids)} graphs, "
-                f"{len(shard.pivots)} pivots, {size} bytes -> {path}"
-            )
-        print(
-            f"wrote {len(paths)} shard sidecars "
-            f"({len(engine.gids())} graphs, shard_by={config.shard_by}) "
-            f"-> {sidecar}.shards.json"
-        )
-        return 0
     pairs = [(gid, engine.graph(gid)) for gid in engine.gids()]
     diskcat.write_sidecar(
         sidecar,
@@ -392,19 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("database", help=".segos database file")
     index_build.add_argument(
         "-o", "--output", help="sidecar path (default <database>.segosx)"
-    )
-    index_build.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the catalog into N shard sidecars plus a "
-        "<sidecar>.shards.json manifest (default 1: single sidecar)",
-    )
-    index_build.add_argument(
-        "--pivots",
-        type=int,
-        default=0,
-        help="pivots per shard for query-time shard pruning (default 0)",
     )
     index_build.set_defaults(func=_cmd_index_build)
     index_inspect = index_sub.add_parser(

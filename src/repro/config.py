@@ -67,12 +67,6 @@ ENV_INDEX_PATH = "REPRO_INDEX_PATH"
 ENV_MMAP = "REPRO_MMAP"
 #: Delta-journal compaction threshold as a fraction of base graph count.
 ENV_DELTA_COMPACT = "REPRO_DELTA_COMPACT"
-#: Number of catalog shards for scatter-gather query execution (1 = off).
-ENV_SHARDS = "REPRO_SHARDS"
-#: Shard assignment strategy: ``size`` / ``hash`` / ``auto``.
-ENV_SHARD_BY = "REPRO_SHARD_BY"
-#: Pivot graphs per shard for triangle-inequality shard pruning (0 = off).
-ENV_SHARD_PIVOTS = "REPRO_SHARD_PIVOTS"
 #: Comma-separated filter-tier chain (ordered subset of the full chain).
 ENV_FILTER_TIERS = "REPRO_FILTER_TIERS"
 #: Durability discipline for persistence writes: ``always``/``batch``/``never``.
@@ -220,20 +214,10 @@ def _env_topk_backend() -> Optional[str]:
     return raw if raw in ("ta", "scan", "auto") else None
 
 
-def _env_shard_by() -> str:
-    """Environment default for the shard strategy (unknown degrades to auto).
-
-    Mirrors the top-k backend knob's robustness contract: one bad shell
-    export must not take queries down.
-    """
-    raw = env_str(ENV_SHARD_BY).strip().lower()
-    return raw if raw in ("size", "hash", "auto") else "auto"
-
-
 def _env_fsync_policy() -> str:
     """Environment default for the fsync discipline (unknown degrades).
 
-    Mirrors the shard/top-k knobs' robustness contract: a typo'd shell
+    Mirrors the top-k knob's robustness contract: a typo'd shell
     export degrades to the default rather than taking persistence down.
     Explicit constructor kwargs still fail fast in ``__post_init__``.
     """
@@ -354,22 +338,6 @@ class EngineConfig:
         exceed ``delta_compact * len(base)`` a save rewrites the full
         sidecar instead of appending.  ``0`` compacts on every save.
         Env: ``REPRO_DELTA_COMPACT``.
-    shards:
-        Number of catalog shards for scatter-gather query execution
-        (see :mod:`repro.perf.shard`); 1 = the monolithic single-catalog
-        path.  Env: ``REPRO_SHARDS``.
-    shard_by:
-        Shard assignment strategy: ``size`` bands graphs by order so
-        similarly-sized graphs colocate (tight pivot ranges), ``hash``
-        spreads gids uniformly by a stable signature hash, ``auto``
-        currently means ``size``.  Env: ``REPRO_SHARD_BY``.
-    shard_pivots:
-        Pivot graphs selected per shard at view-build time; the planner
-        skips shards the triangle inequality rules out at query time.
-        0 disables pivot pruning (the default — pruning may drop
-        non-answer candidates, so candidate sets are only guaranteed
-        identical to the unsharded path with pivots off; the *answer*
-        set is preserved either way).  Env: ``REPRO_SHARD_PIVOTS``.
     filter_tiers:
         The composable filter-tier chain the query planner executes, as
         an ordered subsequence of :data:`FULL_TIER_CHAIN` that keeps the
@@ -403,9 +371,6 @@ class EngineConfig:
     mmap: bool = True
     fsync_policy: str = DEFAULT_FSYNC_POLICY
     delta_compact: float = DEFAULT_DELTA_COMPACT
-    shards: int = 1
-    shard_by: str = "auto"
-    shard_pivots: int = 0
     filter_tiers: Tuple[str, ...] = DEFAULT_FILTER_TIERS
 
     def __post_init__(self) -> None:
@@ -443,14 +408,6 @@ class EngineConfig:
             )
         if self.delta_compact < 0:
             raise ValueError("delta_compact must be non-negative")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shard_by not in ("size", "hash", "auto"):
-            raise ValueError(
-                f"unknown shard_by {self.shard_by!r} (size, hash or auto)"
-            )
-        if self.shard_pivots < 0:
-            raise ValueError("shard_pivots must be >= 0")
         if self.fault_plan is not None:
             # A typo'd fault plan fails fast here, not by silently never
             # firing mid-experiment.  Imported lazily (resilience imports
@@ -502,9 +459,6 @@ class EngineConfig:
             "mmap": env_bool(ENV_MMAP, True),
             "fsync_policy": _env_fsync_policy(),
             "delta_compact": env_float(ENV_DELTA_COMPACT, DEFAULT_DELTA_COMPACT),
-            "shards": env_int(ENV_SHARDS, 1),
-            "shard_by": _env_shard_by(),
-            "shard_pivots": env_int(ENV_SHARD_PIVOTS, 0),
             "filter_tiers": _env_filter_tiers() or DEFAULT_FILTER_TIERS,
         }
         known = {f.name for f in fields(cls)}
@@ -556,8 +510,5 @@ ENV_KNOBS: Tuple[Tuple[str, str], ...] = (
     ("mmap", ENV_MMAP),
     ("fsync_policy", ENV_FSYNC),
     ("delta_compact", ENV_DELTA_COMPACT),
-    ("shards", ENV_SHARDS),
-    ("shard_by", ENV_SHARD_BY),
-    ("shard_pivots", ENV_SHARD_PIVOTS),
     ("filter_tiers", ENV_FILTER_TIERS),
 )

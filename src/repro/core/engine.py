@@ -32,11 +32,7 @@ from ..errors import GraphAlreadyIndexed, GraphNotIndexed
 from ..graphs.model import Graph
 from ..graphs.star import Star, decompose, star_at
 from ..obs.trace import Trace
-from ..perf.parallel import (
-    effective_workers,
-    parallel_batch_range_query,
-    sharded_batch_range_query,
-)
+from ..perf.parallel import effective_workers, parallel_batch_range_query
 from ..perf.sed_cache import GLOBAL_SED_CACHE, CacheInfo
 from .index import GraphMeta, TwoLevelIndex
 from .plan import QueryResult, QuerySession, traced_scope
@@ -96,9 +92,6 @@ class SegosIndex:
         mmap: Optional[bool] = None,
         fsync_policy: Optional[str] = None,
         delta_compact: Optional[float] = None,
-        shards: Optional[int] = None,
-        shard_by: Optional[str] = None,
-        shard_pivots: Optional[int] = None,
         filter_tiers: Optional[object] = None,
         config: Optional[EngineConfig] = None,
     ) -> None:
@@ -125,9 +118,6 @@ class SegosIndex:
             mmap=mmap,
             fsync_policy=fsync_policy,
             delta_compact=delta_compact,
-            shards=shards,
-            shard_by=shard_by,
-            shard_pivots=shard_pivots,
             filter_tiers=filter_tiers,
         )
         # The SED memo cache is process-global (it memoises a pure function
@@ -435,21 +425,7 @@ class SegosIndex:
         # ``workers=`` is honoured verbatim.
         pool_workers = config.batch_workers
         if workers is None:
-            pool_workers = effective_workers(
-                pool_workers,
-                shards=config.shards if config.shards > 1 else None,
-            )
-        if config.shards > 1:
-            return self._sharded_batch_range_query(
-                queries,
-                tau,
-                config=config,
-                pool_workers=pool_workers,
-                k=k,
-                h=h,
-                verify=verify,
-                verify_workers=verify_workers,
-            )
+            pool_workers = effective_workers(pool_workers)
         with traced_scope(
             config, "batch", queries=len(queries), tau=tau
         ) as tracer:
@@ -475,91 +451,6 @@ class SegosIndex:
                     verify=verify,
                     verify_workers=verify_workers,
                 )
-            if degradations and results:
-                results[0].stats.degradations.extend(degradations)
-        if tracer.enabled:
-            shared = Trace(tracer.snapshot(), tracer.trace_id)
-            for result in results:
-                result.trace = shared
-        return results
-
-    def _sharded_batch_range_query(
-        self,
-        queries: Sequence[Graph],
-        tau: float,
-        *,
-        config: EngineConfig,
-        pool_workers: int,
-        k: Optional[int] = None,
-        h: Optional[int] = None,
-        verify: str = "none",
-        verify_workers: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Batch execution over catalog shards (see :mod:`repro.perf.shard`).
-
-        With ``pool_workers > 1`` each surviving shard becomes one
-        supervised-pool task carrying only the queries its pivots did not
-        rule out; the parent gathers per-shard answer streams and merges
-        them per query under the global bounds.  Otherwise each query runs
-        the serial in-process scatter through one session (shard top-k
-        caches shared across the batch either way).
-        """
-        from ..perf.shard import sharded_view
-        from .plan import merge_shard_results
-        from .stats import WallClock
-
-        with traced_scope(
-            config, "batch", queries=len(queries), tau=tau, shards=config.shards
-        ) as tracer:
-            view = sharded_view(self, config)
-            per_query = None
-            degradations: List = []
-            if pool_workers > 1 and len(view.live_shards()) > 1 and queries:
-                clock = WallClock.start()
-                per_query, degradations = sharded_batch_range_query(
-                    self,
-                    view,
-                    queries,
-                    tau,
-                    workers=pool_workers,
-                    k=k,
-                    h=h,
-                    verify=verify,
-                    tracer=tracer,
-                )
-            if per_query is not None:
-                live = len(view.live_shards())
-                elapsed = clock.elapsed()
-                results = []
-                for shard_results in per_query:
-                    merged = merge_shard_results(
-                        self,
-                        [result for _sid, result in shard_results],
-                        verify=verify,
-                        shards_scattered=len(shard_results),
-                        shards_pruned=live - len(shard_results),
-                    )
-                    # Wall clock for the whole scatter is shared; apportion
-                    # the per-query number as the slowest shard's own time.
-                    merged.elapsed = max(
-                        [r.elapsed for _sid, r in shard_results], default=elapsed
-                    )
-                    results.append(merged)
-                if config.metrics:
-                    from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
-
-                    for result in results:
-                        record_query_metrics(
-                            GLOBAL_METRICS, result.stats, result.elapsed
-                        )
-            else:
-                session = self.session(
-                    k=k, h=h, verify_workers=verify_workers
-                )
-                results = [
-                    session.range_query(query, tau=tau, verify=verify)
-                    for query in queries
-                ]
             if degradations and results:
                 results[0].stats.degradations.extend(degradations)
         if tracer.enabled:

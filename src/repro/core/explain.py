@@ -113,11 +113,6 @@ class QueryExplanation:
                 f"{self.stats.sed_cache_hits} served by the memo cache "
                 f"({self.stats.sed_cache_hit_rate:.0%} hit rate)"
             )
-        if self.stats.shards_scattered or self.stats.shards_pruned:
-            lines.append(
-                f"shard stage: {self.stats.shards_scattered} shards "
-                f"scattered, {self.stats.shards_pruned} pruned by pivots"
-            )
         lines.append("DC stage: " + self.stats.summary())
         for event in self.stats.degradations:
             lines.append(f"resilience: {event.summary()}")
@@ -150,9 +145,6 @@ def explain_range_query(
     occurrences: Dict[str, int] = {}
     for star in query_stars:
         occurrences[star.signature] = occurrences.get(star.signature, 0) + 1
-    # Under sharding the TA searches run against per-shard caches, so the
-    # session-level cache only holds signatures answered locally (none,
-    # today) — star traces cover whatever it has.
     cache = session.topk_cache
     traces = [
         StarTrace(

@@ -65,6 +65,9 @@ _HEADER_PREFIX = "#segos "
 #: Current text-header version.  v1 recorded only k/h/partial_fraction;
 #: v2 records the full resolved EngineConfig.  Both load.
 _FORMAT_VERSION = 2
+#: Config keys that v2 headers written before catalog sharding was removed
+#: still carry.  They are dropped on load; any other unknown key is an error.
+_RETIRED_CONFIG_KEYS = ("shards", "shard_by", "shard_pivots")
 
 __all__ = ["DiskHandle", "load_index", "save_index", "sidecar_path_for"]
 
@@ -118,7 +121,10 @@ def _parse_header(first_line: str) -> Tuple[Optional[EngineConfig], bool]:
             raise ParseError(f"invalid v1 #segos header: {exc}", 1) from exc
     if version == _FORMAT_VERSION:
         try:
-            return EngineConfig(**header["config"]), True
+            knobs = dict(header["config"])
+            for key in _RETIRED_CONFIG_KEYS:
+                knobs.pop(key, None)
+            return EngineConfig(**knobs), True
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"invalid v2 #segos header: {exc}", 1) from exc
     raise ParseError(f"unsupported segos file version {version!r}", 1)

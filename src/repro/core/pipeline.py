@@ -180,17 +180,6 @@ class PipelinedSegos:
         return self._run(session, query, tau, verify=verify)
 
     def _run(self, session, query: Graph, tau: float, *, verify: str) -> QueryResult:
-        if session.config.shards > 1:
-            # Scatter-gather: the fused threaded filter runs once per
-            # surviving shard (the plan is engine-agnostic — stages read
-            # ctx.engine), merged under the global bounds.
-            return session.sharded_executor().execute(
-                query,
-                tau,
-                verify=verify,
-                mode="pipelined",
-                plan_for_shard=lambda shard: self.plan(),
-            )
         ctx = session.context(query, tau, verify=verify)
         return session.execute(self.plan(), ctx).to_result()
 

@@ -36,7 +36,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -513,171 +512,6 @@ def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> ExecutionContext:
     return ctx
 
 
-def merge_shard_results(
-    engine: "SegosIndex",
-    shard_results: Sequence[QueryResult],
-    *,
-    verify: str,
-    shards_scattered: int,
-    shards_pruned: int,
-) -> QueryResult:
-    """Gather per-shard results into one answer under the global contract.
-
-    Shards hold disjoint graph subsets, so candidate membership is a plain
-    union; ordering is canonicalised to the parent database's insertion
-    order (``engine.gids()``), which makes the merged candidate list a
-    deterministic function of the database alone — byte-identical however
-    the shards were scheduled, completed or load-balanced.  ``matches`` is
-    the union of shard matches (with ``verify="exact"`` each shard's
-    matches are its exact answers, so the union is the exact global answer
-    set); ``verified`` holds only when every scattered shard fully decided
-    its candidates.
-    """
-    candidate_set: Set[object] = set()
-    matches: Set[object] = set()
-    for result in shard_results:
-        candidate_set.update(result.candidates)
-        matches.update(result.matches)
-    candidates = [gid for gid in engine.gids() if gid in candidate_set]
-    stats = QueryStats.merged([result.stats for result in shard_results])
-    stats.shards_scattered = shards_scattered
-    stats.shards_pruned = shards_pruned
-    return QueryResult(
-        candidates=candidates,
-        matches=matches,
-        stats=stats,
-        elapsed=0.0,
-        verified=(verify == "exact" and all(r.verified for r in shard_results)),
-    )
-
-
-class ShardedExecutor:
-    """Scatter one query across catalog shards and gather the answers.
-
-    The executor runs the *same* staged plan the monolithic path would run
-    — once per surviving shard, against that shard's sub-engine — then
-    merges with :func:`merge_shard_results`.  Pivot pruning (see
-    :mod:`repro.perf.shard`) skips shards the triangle inequality rules
-    out before TA ever runs; each skip is counted in ``shards_pruned`` and
-    surfaced as a ``shard.pruned`` trace event, each scatter as a
-    ``shard`` span.
-
-    Shard executions run with ``metrics=False``; the executor records the
-    merged stats once, so a sharded query lands in the metrics registry as
-    exactly one query — same as the monolithic path.
-    """
-
-    def __init__(
-        self,
-        engine: "SegosIndex",
-        config: EngineConfig,
-        *,
-        shard_caches: Optional[Dict[int, Dict]] = None,
-    ) -> None:
-        self.engine = engine
-        self.config = config
-        #: shard id → that shard's top-k cache.  Shard catalogs have
-        #: disjoint sid spaces, so caches must never be shared across
-        #: shards; a QuerySession owns these so related queries still
-        #: reuse each other's TA searches per shard.
-        self.shard_caches: Dict[int, Dict] = (
-            shard_caches if shard_caches is not None else {}
-        )
-
-    def view(self):
-        from ..perf.shard import sharded_view
-
-        return sharded_view(self.engine, self.config)
-
-    def execute(
-        self,
-        query: Graph,
-        tau: float,
-        *,
-        verify: str = "none",
-        mode: str = "range",
-        plan_for_shard=None,
-        use_pivots: bool = True,
-    ) -> QueryResult:
-        """Run the scatter-gather for one query, serially in-process.
-
-        ``plan_for_shard(shard) -> QueryPlan`` lets the pipelined and
-        subsearch front-ends scatter their own plans; the default is the
-        standard range plan.  ``use_pivots=False`` disables shard pruning
-        for distances where the triangle inequality does not hold (the
-        subgraph edit distance).
-        """
-        # Same argument validation as make_context, hoisted: with every
-        # shard pruned (or an empty database) no per-shard context would
-        # ever be built to reject bad input.
-        if query.order == 0:
-            raise ValueError("query graph must not be empty")
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
-        if verify not in ("none", "exact"):
-            raise ValueError(f"unknown verify mode {verify!r}")
-        view = self.view()
-        shard_config = self.config.override(shards=1, metrics=False)
-        if plan_for_shard is None:
-            # The default shard plan follows the configured tier chain, so
-            # sharded and monolithic executions run the same stages.
-            plan_for_shard = (
-                lambda shard: QueryPlan.from_tiers(shard_config)  # noqa: E731
-            )
-        clock = WallClock.start()
-        with traced_scope(
-            self.config,
-            "sharded_query",
-            shards=len(view.shards),
-            tau=tau,
-            mode=mode,
-        ) as tracer:
-            skips = (
-                view.skips(query, tau, backend=self.config.assignment_backend)
-                if use_pivots
-                else set()
-            )
-            shard_results: List[QueryResult] = []
-            scattered = pruned = 0
-            for shard in view.live_shards():
-                if shard.shard_id in skips:
-                    pruned += 1
-                    if tracer.enabled:
-                        tracer.event("shard.pruned", shard=shard.shard_id)
-                    continue
-                scattered += 1
-                ctx = make_context(
-                    shard.engine,
-                    query,
-                    tau,
-                    config=shard_config,
-                    verify=verify,
-                    mode=mode,
-                    topk_cache=self.shard_caches.setdefault(shard.shard_id, {}),
-                )
-                with tracer.span(
-                    "shard", shard=shard.shard_id, graphs=len(shard.gids)
-                ):
-                    ctx = execute_plan(plan_for_shard(shard), ctx)
-                shard_results.append(ctx.to_result())
-            merged = merge_shard_results(
-                self.engine,
-                shard_results,
-                verify=verify,
-                shards_scattered=scattered,
-                shards_pruned=pruned,
-            )
-            merged.elapsed = clock.elapsed()
-            if tracer.enabled:
-                merged.trace = tracer.to_trace()
-        if self.config.metrics:
-            record_query_metrics(
-                GLOBAL_METRICS, merged.stats, merged.elapsed, mode=mode
-            )
-            publish_cache_metrics(GLOBAL_METRICS)
-        return merged
-
-
 class QuerySession:
     """Shared execution state for a group of related queries.
 
@@ -706,25 +540,6 @@ class QuerySession:
         self.engine = engine
         self.config = config if config is not None else engine.config
         self.topk_cache: Dict[str, TopKResult] = {}
-        # Sharded-execution state: (view key, shard id → top-k cache).
-        # Shard catalogs have disjoint sid spaces, so the session keeps one
-        # cache per shard; a view rebuild (generation bump, knob change)
-        # drops them all.
-        self._shard_state: Optional[Tuple[tuple, Dict[int, Dict]]] = None
-
-    def sharded_executor(
-        self, config: Optional[EngineConfig] = None
-    ) -> ShardedExecutor:
-        """A :class:`ShardedExecutor` sharing this session's shard caches."""
-        from ..perf.shard import _view_key
-
-        config = config if config is not None else self.config
-        key = _view_key(self.engine, config)
-        if self._shard_state is None or self._shard_state[0] != key:
-            self._shard_state = (key, {})
-        return ShardedExecutor(
-            self.engine, config, shard_caches=self._shard_state[1]
-        )
 
     def plan(
         self,
@@ -771,9 +586,5 @@ class QuerySession:
         """
         overrides = apply_call_aliases(overrides)
         config = self.config.override(**overrides)
-        if config.shards > 1:
-            return self.sharded_executor(config).execute(
-                query, tau, verify=verify
-            )
         ctx = self.context(query, tau, verify=verify, **overrides)
         return self.execute(self.plan(config=config), ctx).to_result()

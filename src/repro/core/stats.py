@@ -81,12 +81,6 @@ class QueryStats:
     astar_runs: int = 0
     #: A* states expanded across this query's GED runs (search effort)
     astar_expansions: int = 0
-    #: catalog shards the scatter-gather executor actually ran this query
-    #: against (0 on the monolithic single-catalog path)
-    shards_scattered: int = 0
-    #: catalog shards skipped outright by pivot-based triangle-inequality
-    #: pruning before TA ever ran (see :mod:`repro.perf.shard`)
-    shards_pruned: int = 0
     #: filter tier name → bound-tightness counters: ``evaluated`` (pairs the
     #: tier scored), ``bound_sum`` (Σ of its lower bounds — tightness in
     #: aggregate) and ``bound_max`` (its tightest single claim); filled by
@@ -173,11 +167,6 @@ class QueryStats:
             if self.astar_expansions:
                 detail += f", {self.astar_expansions} states expanded"
             parts.append(detail)
-        if self.shards_scattered or self.shards_pruned:
-            parts.append(
-                f"shards: {self.shards_scattered} scattered, "
-                f"{self.shards_pruned} pruned"
-            )
         if self.stage_seconds:
             timed = " ".join(
                 f"{name}={seconds * 1000:.1f}ms"
@@ -209,8 +198,6 @@ class QueryStats:
         self.settled_by_bounds += other.settled_by_bounds
         self.astar_runs += other.astar_runs
         self.astar_expansions += other.astar_expansions
-        self.shards_scattered += other.shards_scattered
-        self.shards_pruned += other.shards_pruned
         self.anchor_settled += other.anchor_settled
         for tier, entry in other.tier_bounds.items():
             mine = self.tier_bounds.setdefault(

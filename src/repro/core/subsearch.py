@@ -224,34 +224,6 @@ class SubgraphSearch:
         ``verify="exact"`` confirms candidates with the A* subgraph edit
         distance so ``matches`` is the exact answer set.
         """
-        config = self.engine.config
-        if config.shards > 1:
-            # Scatter-gather over the catalog shards.  Pivot pruning is
-            # deliberately OFF here: the subgraph edit distance is not a
-            # metric (it is asymmetric and violates the triangle
-            # inequality), so the pivot floors would be unsound — every
-            # live shard runs.  Each shard gets its own SubgraphSearch:
-            # the sub-TA stage streams that shard's label lists.
-            from .plan import ShardedExecutor
-
-            result = ShardedExecutor(self.engine, config).execute(
-                query,
-                tau,
-                verify=verify,
-                mode="subsearch",
-                plan_for_shard=lambda shard: SubgraphSearch(
-                    shard.engine, k=self.k
-                ).plan(),
-                use_pivots=False,
-            )
-            return SubgraphQueryResult(
-                candidates=result.candidates,
-                matches=result.matches,
-                stats=result.stats,
-                elapsed=result.elapsed,
-                verified=result.verified,
-                trace=result.trace,
-            )
         ctx = make_context(
             self.engine,
             query,

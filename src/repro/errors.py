@@ -110,7 +110,7 @@ class StaleSidecarError(SidecarError):
     — by comparing generation counters with the parent engine.
 
     The structured keywords (all optional) are appended to the message so
-    degraded-shard telemetry is debuggable straight from the CLI's
+    degraded-worker telemetry is debuggable straight from the CLI's
     ``degraded:`` lines: which sidecar file, which generation the attacher
     expected vs found, and the source-hash prefixes that disagreed.
     """

@@ -19,10 +19,7 @@ configurable via environment variables (see the README's performance table):
 * :mod:`repro.perf.diskcat` — the zero-copy on-disk index: the ``.segosx``
   mmap sidecar format, lazily-materialising mapped index views, delta
   segments, and the :class:`DiskHandle` worker transport
-  (``REPRO_MMAP`` / ``REPRO_INDEX_PATH`` / ``REPRO_DELTA_COMPACT``);
-* :mod:`repro.perf.shard` — catalog sharding for scatter-gather query
-  execution with pivot-based shard pruning (``REPRO_SHARDS`` /
-  ``REPRO_SHARD_BY`` / ``REPRO_SHARD_PIVOTS``).
+  (``REPRO_MMAP`` / ``REPRO_INDEX_PATH`` / ``REPRO_DELTA_COMPACT``).
 """
 
 from .assignment import (
@@ -46,7 +43,6 @@ from .parallel import (
     parallel_batch_range_query,
     resolve_workers,
 )
-from .shard import PivotRange, ShardedView, ShardView, persist_shards, sharded_view
 from .sed_cache import (
     DEFAULT_CAPACITY,
     GLOBAL_SED_CACHE,
@@ -66,10 +62,7 @@ __all__ = [
     "GLOBAL_SED_CACHE",
     "LazyGraphStore",
     "MappedTwoLevelIndex",
-    "PivotRange",
     "SEDCache",
-    "ShardView",
-    "ShardedView",
     "available_backends",
     "cached_star_edit_distance",
     "chunk_evenly",
@@ -78,13 +71,11 @@ __all__ = [
     "effective_workers",
     "numpy_available",
     "parallel_batch_range_query",
-    "persist_shards",
     "register_backend",
     "resolve_backend",
     "resolve_workers",
     "scipy_available",
     "sed_cache_clear",
     "sed_cache_info",
-    "sharded_view",
     "solve_assignment",
 ]

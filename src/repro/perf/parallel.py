@@ -69,15 +69,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def effective_workers(requested: int, *, shards: Optional[int] = None) -> int:
+def effective_workers(requested: int) -> int:
     """Cap a *defaulted* worker count by what the machine can parallelise.
 
     Process pools only pay off with real cores to run on: on a 1-core box
     every pool worker time-slices the same CPU and the dispatch overhead is
     pure loss, so a defaulted count falls through to serial there.  On
-    multi-core machines the count is capped at ``min(cpu_count, shards)``
-    when scattering shards (more workers than shards would idle) and at
-    ``cpu_count`` otherwise.
+    multi-core machines the count is capped at ``cpu_count``.
 
     This gate applies only to worker counts *defaulted* from the
     environment or engine config — an explicit per-call ``workers=`` is
@@ -86,8 +84,7 @@ def effective_workers(requested: int, *, shards: Optional[int] = None) -> int:
     cpu = os.cpu_count() or 1
     if cpu <= 1:
         return 1
-    cap = cpu if shards is None else max(1, min(cpu, shards))
-    return max(1, min(requested, cap))
+    return max(1, min(requested, cpu))
 
 
 def chunk_evenly(items: Sequence[Any], parts: int) -> List[List[Any]]:
@@ -294,179 +291,3 @@ def parallel_batch_range_query(
             results.extend(engine._serial_batch_range_query(chunk, tau, **kwargs))
     return results, events
 
-
-# ---------------------------------------------------------------------------
-# Sharded scatter-gather (see repro.perf.shard / repro.core.plan)
-# ---------------------------------------------------------------------------
-
-# Per-worker-process cache of attached shard engines, keyed by
-# (view token, shard id).  Tokens are process-unique per built view, so a
-# rebuilt view (generation bump) can never hit a stale entry.
-_SHARD_ENGINES: Dict[Tuple[int, int], "SegosIndex"] = {}
-
-
-def _run_shard_queries(
-    shard_key: Tuple[int, int],
-    transport: str,
-    payload: Any,
-    queries: List["Graph"],
-    tau: float,
-    kwargs: Dict[str, Any],
-) -> List["QueryResult"]:
-    """Worker-side shard task: attach (once) and answer this shard's queries.
-
-    ``transport`` is ``"disk"`` (payload = the shard's DiskHandle; the
-    worker memory-maps only that shard's sidecar) or ``"pickle"`` (payload
-    = the pickled shard sub-engine).  Attached engines are cached per
-    process per shard, so a batch re-dispatching to the same shard pays the
-    attach exactly once.
-    """
-    engine = _SHARD_ENGINES.get(shard_key)
-    if engine is None:
-        if transport == "disk":
-            from ..core.persistence import load_index  # lazy import cycle guard
-
-            engine = load_index(
-                payload.graph_path, index_path=payload.index_path, mmap=True
-            )
-            attached = engine.disk_handle()
-            if (
-                attached is None
-                or attached.disk_generation != payload.disk_generation
-                or attached.source_sha != payload.source_sha
-            ):
-                raise StaleSidecarError(
-                    "shard worker attached a different state than the parent",
-                    path=payload.index_path,
-                    expected_generation=payload.disk_generation,
-                    found_generation=(
-                        None if attached is None else attached.disk_generation
-                    ),
-                    expected_sha=payload.source_sha,
-                    found_sha=None if attached is None else attached.source_sha,
-                )
-        else:
-            engine = pickle.loads(payload)
-        _SHARD_ENGINES[shard_key] = engine
-    return engine._serial_batch_range_query(list(queries), tau, **kwargs)
-
-
-def sharded_batch_range_query(
-    engine: "SegosIndex",
-    view,
-    queries: Sequence["Graph"],
-    tau: float,
-    *,
-    workers: int,
-    k: Optional[int] = None,
-    h: Optional[int] = None,
-    verify: str = "none",
-    tracer=None,
-) -> Tuple[Optional[List[List[Tuple[int, "QueryResult"]]]], List[DegradationEvent]]:
-    """Scatter a batch per *shard* through the supervised pool and gather.
-
-    One :class:`PoolTask` per surviving shard; the parent computes every
-    query's pivot skips up front and ships each shard only the queries its
-    pivots did not rule out.  Returns ``(per_query, degradations)`` where
-    ``per_query[i]`` is the list of ``(shard_id, QueryResult)`` pairs for
-    ``queries[i]`` — the caller merges them under the global bounds
-    (:func:`repro.core.plan.merge_shard_results`).  ``None`` means process
-    scatter was impossible from the start (a shard that can neither ride a
-    DiskHandle nor pickle) and the caller should run serially; a shard the
-    pool *lost* degrades loudly instead: its queries are salvaged serially
-    in-process on the parent's shard sub-engine, with the cause recorded.
-    """
-    config = _engine_config(engine)
-    faults = FaultPlan.parse(config.fault_plan)
-    policy = ResiliencePolicy.from_config(config)
-    tracer = tracer if tracer is not None else NULL_TRACER
-    events: List[DegradationEvent] = []
-
-    live = view.live_shards()
-    # Per-query shard skips from the pivot floors (empty when pivots off).
-    skips = [view.skips(query, tau, backend=config.assignment_backend)
-             for query in queries]
-    assignments: List[Tuple[Any, List[int]]] = []
-    for shard in live:
-        indices = [i for i in range(len(queries)) if shard.shard_id not in skips[i]]
-        if indices:
-            assignments.append((shard, indices))
-
-    # Transport per shard: a shard persisted via persist_shards() carries a
-    # valid DiskHandle → ship the ticket; otherwise pickle the sub-engine.
-    tasks: List[PoolTask] = []
-    transports = set()
-    kwargs = {"k": k, "h": h, "verify": verify, "verify_workers": 1}
-    for shard, indices in assignments:
-        handle = shard.engine.disk_handle()
-        if handle is not None:
-            transport, payload = "disk", handle
-        else:
-            try:
-                payload = pickle.dumps(
-                    shard.engine, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except PICKLE_ERRORS as exc:
-                events.append(
-                    DegradationEvent(
-                        point="pickle.shard",
-                        stage="shard-batch",
-                        cause=repr(exc),
-                        lost=len(queries),
-                        fallback="serial",
-                    )
-                )
-                return None, events
-            transport = "pickle"
-        transports.add(transport)
-        tasks.append(
-            PoolTask(
-                shard.shard_id,
-                _run_shard_queries,
-                (
-                    (view.token, shard.shard_id),
-                    transport,
-                    payload,
-                    [queries[i] for i in indices],
-                    tau,
-                    kwargs,
-                ),
-            )
-        )
-
-    outcome = run_supervised(
-        tasks,
-        workers=min(workers, max(1, len(tasks))),
-        policy=policy,
-        faults=faults,
-        stage="shard-batch",
-        tracer=tracer,
-        transport="+".join(sorted(transports)),
-    )
-    events.extend(outcome.events)
-
-    per_query: List[List[Tuple[int, "QueryResult"]]] = [[] for _ in queries]
-    for shard, indices in assignments:
-        if shard.shard_id in outcome.results:
-            shard_results = outcome.results[shard.shard_id]
-        else:
-            # Loud per-shard salvage: the pool lost this shard (its events
-            # are already recorded above); re-run only its queries serially
-            # on the parent's in-process shard sub-engine.
-            if tracer.enabled:
-                with activate(tracer):
-                    with tracer.span(
-                        "salvage.shard", shard=shard.shard_id, queries=len(indices)
-                    ):
-                        shard_results = shard.engine._serial_batch_range_query(
-                            [queries[i] for i in indices], tau, **kwargs
-                        )
-            else:
-                shard_results = shard.engine._serial_batch_range_query(
-                    [queries[i] for i in indices], tau, **kwargs
-                )
-        for position, query_index in enumerate(indices):
-            per_query[query_index].append(
-                (shard.shard_id, shard_results[position])
-            )
-    return per_query, events

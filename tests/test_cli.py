@@ -175,15 +175,6 @@ class TestIndexSidecar:
         assert "wrote sidecar for 2 graphs" in out
         assert (db_file.parent / "db.segos.segosx").exists()
 
-    def test_build_sharded_writes_manifest(self, db_file, capsys):
-        assert main(["index", "build", str(db_file), "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "wrote 2 shard sidecars" in out
-        assert "shard 0:" in out and "shard 1:" in out
-        assert (db_file.parent / "db.segos.segosx.shards.json").exists()
-        assert (db_file.parent / "db.segos.segosx.shard0").exists()
-        assert (db_file.parent / "db.segos.segosx.shard1").exists()
-
     def test_inspect_reports_header(self, db_file, capsys):
         assert main(["index", "inspect", str(db_file)]) == 0
         out = capsys.readouterr().out

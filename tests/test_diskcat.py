@@ -512,3 +512,35 @@ class TestLazyGraphStore:
         assert set(clone) == set(engine.gids())
         gid = sorted(engine.gids())[0]
         assert clone[gid].label_multiset() == engine.graph(gid).label_multiset()
+
+
+class TestStaleSidecarDetails:
+    def test_message_carries_structured_details(self):
+        err = StaleSidecarError(
+            "worker attached a different state",
+            path="/tmp/db.segosx",
+            expected_generation=4,
+            found_generation=2,
+            expected_sha=b"\xab" * 32,
+            found_sha="deadbeef" * 8,
+        )
+        text = str(err)
+        assert "sidecar='/tmp/db.segosx'" in text
+        assert "generation expected=4 found=2" in text
+        assert "sha expected=abababababab…" in text
+        assert "found=deadbeefdead…" in text
+        assert err.path == "/tmp/db.segosx"
+        assert err.expected_generation == 4
+        assert err.found_generation == 2
+
+    def test_plain_message_unchanged_without_details(self):
+        assert str(StaleSidecarError("stale")) == "stale"
+
+    def test_lazy_store_sha_mismatch_names_the_file(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        gio.save(path, [("g", Graph(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)]))])
+        with pytest.raises(StaleSidecarError) as info:
+            LazyGraphStore(path, expected_sha=b"\x00" * 32)
+        text = str(info.value)
+        assert str(path) in text
+        assert "sha expected=000000000000…" in text

@@ -9,7 +9,7 @@ from repro.core.pipeline import PipelinedSegos
 from repro.core.stats import QueryStats
 from repro.datasets import aids_like, sample_queries
 from repro.perf import parallel
-from repro.perf.parallel import chunk_evenly, resolve_workers
+from repro.perf.parallel import chunk_evenly, effective_workers, resolve_workers
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +132,41 @@ class TestStatsAggregation:
         assert again.stats.sed_cache_hit_rate == 1.0
         info = engine.sed_cache_info()
         assert info.hits >= again.stats.sed_cache_hits
+
+
+class TestEffectiveWorkers:
+    def test_single_core_falls_through_to_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        assert effective_workers(8) == 1
+
+    def test_multi_core_caps_at_cpu(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        assert effective_workers(16) == 8
+        assert effective_workers(4) == 4
+
+    def test_cpu_count_none_is_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert effective_workers(8) == 1
+
+    def test_defaulted_batch_workers_gated_on_one_core(self, corpus, monkeypatch):
+        data, _, queries = corpus
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        calls = []
+        engine = SegosIndex(data.graphs, k=10, h=30, batch_workers=4)
+        original = parallel.parallel_batch_range_query
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("workers"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.core.engine.parallel_batch_range_query", spy
+        )
+        engine.batch_range_query(queries[:2], tau=1.0)
+        assert calls == []  # gate resolved to serial; the pool never ran
+
+    def test_explicit_workers_bypass_the_gate(self, corpus, monkeypatch):
+        _, engine, queries = corpus
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        results = engine.batch_range_query(queries[:2], tau=1.0, workers=2)
+        assert len(results) == 2

@@ -10,6 +10,27 @@ from repro.errors import ParseError
 from repro.graphs import io as gio
 from repro.graphs.model import Graph
 
+# Verbatim first line of a database saved before catalog sharding was
+# removed: the v2 header still records the three retired sharding knobs.
+RETIRED_KNOBS_HEADER = (
+    '#segos {"config": {"assignment_backend": null, "batch_workers": 1, '
+    '"delta_compact": 0.25, "fault_plan": null, "filter_tiers": ["ta", "ca", '
+    '"verify"], "fsync_policy": "batch", "h": 1000, "index_path": null, '
+    '"k": 100, "max_pool_retries": 2, "metrics": false, "mmap": false, '
+    '"partial_fraction": 0.5, "retry_backoff": 0.05, "sed_cache_size": 262144, '
+    '"shard_by": "auto", "shard_pivots": 2, "shards": 2, "task_timeout": null, '
+    '"topk_backend": null, "trace": false, "trace_path": null, '
+    '"verify_budget": 2000000, "verify_deadline": null, "verify_workers": 1}, '
+    '"graphs": 4, "version": 2}\n'
+)
+
+RETIRED_KNOBS_GRAPHS = {
+    "g0": Graph(["a", "b", "c"], [(0, 1), (1, 2)]),
+    "g1": Graph(["a", "b", "d"], [(0, 1), (1, 2)]),
+    "g2": Graph(["a", "a", "b", "c"], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "g3": Graph(["c", "d"], [(0, 1)]),
+}
+
 
 @pytest.fixture
 def engine(paper_g1, paper_g2):
@@ -117,3 +138,32 @@ class TestHeaderHandling:
         loaded = load_index(path)
         assert (loaded.k, loaded.h, loaded.partial_fraction) == (7, 9, 0.25)
         assert set(loaded.gids()) == {"g"}
+
+    def test_retired_knobs_in_v2_header_are_dropped(self, tmp_path):
+        """Headers from before sharding was removed load with equal answers."""
+        path = tmp_path / "old.segos"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(RETIRED_KNOBS_HEADER)
+            gio.write_graphs(fh, list(RETIRED_KNOBS_GRAPHS.items()))
+        loaded = load_index(path)
+        fresh = SegosIndex(RETIRED_KNOBS_GRAPHS)
+        assert set(loaded.gids()) == set(RETIRED_KNOBS_GRAPHS)
+        for query in RETIRED_KNOBS_GRAPHS.values():
+            for tau in (0, 1, 2, 3):
+                want = fresh.range_query(query, tau=tau, verify="exact")
+                got = loaded.range_query(query, tau=tau, verify="exact")
+                assert sorted(got.candidates) == sorted(want.candidates)
+                assert got.matches == want.matches
+        # A re-save writes a header without the retired keys.
+        resaved = tmp_path / "new.segos"
+        save_index(loaded, resaved)
+        assert "shard" not in resaved.read_text().splitlines()[0]
+        assert load_index(resaved).config == loaded.config
+
+    def test_unknown_v2_config_key_rejected(self, tmp_path):
+        path = tmp_path / "bogus.segos"
+        path.write_text(
+            RETIRED_KNOBS_HEADER.replace('"batch_workers"', '"bogus": 1, "batch_workers"')
+        )
+        with pytest.raises(ParseError, match="invalid v2 #segos header"):
+            load_index(path)

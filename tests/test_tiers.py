@@ -7,7 +7,7 @@ Three contracts under test:
   only prune provable non-answers and settle provable matches.
 * **Identity** — the full five-tier chain answers byte-identically to
   the legacy ``ta -> ca -> verify`` chain across every query mode
-  (serial, batch, pipelined, sharded, kNN, join) plus subsearch.
+  (serial, batch, pipelined, kNN, join) plus subsearch.
 * **Configuration** — ``filter_tiers`` validation (order, duplicates,
   unknown names, required tiers) and the env knob's degrade-to-default
   behaviour.
@@ -161,7 +161,7 @@ class TestChainIdentity:
         deadline=None, max_examples=10, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(corpus=corpus_st, query=graph_st())
-    def test_batch_pipelined_sharded_identity(self, corpus, query):
+    def test_batch_pipelined_identity(self, corpus, query):
         legacy = build_engine(corpus)
         full = build_engine(corpus, filter_tiers=FULL)
         want = sorted(map(str, legacy.range_query(query, tau=2, verify="exact").matches))
@@ -171,10 +171,6 @@ class TestChainIdentity:
 
         piped = PipelinedSegos(full).range_query(query, tau=2, verify="exact")
         assert sorted(map(str, piped.matches)) == want
-
-        sharded = build_engine(corpus, filter_tiers=FULL, shards=2)
-        scat = sharded.range_query(query, tau=2, verify="exact")
-        assert sorted(map(str, scat.matches)) == want
 
     @settings(
         deadline=None, max_examples=10, suppress_health_check=[HealthCheck.too_slow]
