@@ -49,7 +49,6 @@ from repro.core.persistence import load_index, save_index  # noqa: E402
 from repro.datasets import aids_like, sample_queries  # noqa: E402
 from repro.perf.columnar import numpy_available  # noqa: E402
 from repro.perf.diskcat import default_sidecar_path  # noqa: E402
-from repro.perf.parallel import parallel_batch_range_query  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_persistence.json"
 SPEEDUP_BAR = 10.0
@@ -160,9 +159,8 @@ def bench_transport(workdir: Path, n: int, workers: int, repeats: int, seed: int
     )
 
     def pooled():
-        results, events = parallel_batch_range_query(
-            engine, queries, 2, workers=workers
-        )
+        results = engine.batch_range_query(queries, tau=2, workers=workers)
+        events = [e for r in results for e in r.stats.degradations]
         assert not events, f"disk transport degraded: {events}"
         return results
 

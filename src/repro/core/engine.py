@@ -31,9 +31,12 @@ from ..config import EngineConfig
 from ..errors import GraphAlreadyIndexed, GraphNotIndexed
 from ..graphs.model import Graph
 from ..graphs.star import Star, decompose, star_at
+from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
 from ..obs.trace import Trace
-from ..perf.parallel import effective_workers, parallel_batch_range_query
+from ..perf.parallel import chunk_evenly, effective_workers, fan_out
 from ..perf.sed_cache import GLOBAL_SED_CACHE, CacheInfo
+from ..resilience.faults import FaultPlan
+from ..resilience.pool import ResiliencePolicy
 from .index import GraphMeta, TwoLevelIndex
 from .plan import QueryResult, QuerySession, traced_scope
 from .stats import QueryStats
@@ -142,8 +145,8 @@ class SegosIndex:
         # records (op, gid) per mutation since the last save/load sync so
         # save_index can append a small delta segment instead of rewriting
         # the whole sidecar; _disk_source is the DiskHandle of the on-disk
-        # index this engine was loaded from / last saved to, handed to
-        # worker pools in place of a pickled engine while still valid.
+        # index this engine was loaded from / last saved to, which pool
+        # workers attach by while it is still valid.
         self._disk_source = None
         self._persist_journal: List = []
         self._journal_overflow = False
@@ -282,8 +285,7 @@ class SegosIndex:
         """The per-graph embedding vectors of the ``embed`` filter tier.
 
         Cached on the index object keyed by its generation counter (same
-        discipline as the columnar snapshot, and cached in the same place
-        so worker-bound pickles never carry memoryview-backed columns).
+        discipline as the columnar snapshot, and cached in the same place).
         Mapped engines reuse the ``.segosx`` embedding sections zero-copy;
         a stale sidecar written before those sections existed degrades
         **loudly** — a :class:`~repro.resilience.telemetry.DegradationEvent`
@@ -401,23 +403,49 @@ class SegosIndex:
 
         ``workers`` (default: the engine's resolved ``batch_workers`` knob)
         above 1 fans query chunks out over the supervised worker pool
-        (:mod:`repro.resilience.pool`): engines that cannot travel to a
-        subprocess (the sqlite backend) fall back to the serial path with
-        identical answers, broken pools are re-spawned with completed
-        chunks salvaged, and every degradation is recorded in the first
-        result's ``stats.degradations`` — loud, not silent.
-        ``verify_workers`` parallelises exact verification *within* each
-        query; when the batch itself runs in worker processes the
-        per-query verification stays serial (one pool, not pools of
-        pools).
+        (:func:`repro.perf.parallel.fan_out`), whose workers attach this
+        engine's on-disk index by :meth:`disk_handle`.  An engine with no
+        current handle (built in memory, the sqlite backend, mutated since
+        its last save) runs serially with identical answers; broken pools
+        are re-spawned with completed chunks salvaged.  Every degradation
+        is recorded in the first result's ``stats.degradations`` — loud,
+        not silent.  ``verify_workers`` parallelises exact verification
+        *within* each query; when the batch itself runs in worker
+        processes the per-query verification stays serial (one pool, not
+        pools of pools).
 
         On traced runs (``trace=True``, the engine's ``trace`` knob, or an
         ambient :func:`~repro.obs.trace.trace_query`) the whole batch —
         including worker-process spans shipped home by the pool — lands in
         one span tree, shared by every result's ``trace`` handle.
         """
-        if verify not in ("none", "exact"):
-            raise ValueError(f"unknown verify mode {verify!r}")
+        return self._batch(
+            queries,
+            _engine_chunk,
+            {"tau": tau, "k": k, "h": h, "verify": verify},
+            workers=workers,
+            verify_workers=verify_workers,
+            trace=trace,
+        )
+
+    def _batch(
+        self,
+        queries: Sequence[Graph],
+        chunk_task,
+        options: Dict[str, object],
+        *,
+        workers: Optional[int],
+        verify_workers: Optional[int],
+        trace: Optional[bool],
+    ) -> List[QueryResult]:
+        """The batch body shared with :class:`~repro.core.pipeline.PipelinedSegos`.
+
+        ``chunk_task(engine, options, queries)`` is a module-level function
+        answering one chunk serially; it runs in-process for a serial batch
+        and for salvaged chunks, and in the pool's workers otherwise.
+        """
+        if options["verify"] not in ("none", "exact"):
+            raise ValueError(f"unknown verify mode {options['verify']!r}")
         config = self.config.override(batch_workers=workers, trace=trace)
         # Worker counts *defaulted* from the environment or engine config
         # are capped by the machine (serial on a 1-core box — pool dispatch
@@ -427,32 +455,53 @@ class SegosIndex:
         if workers is None:
             pool_workers = effective_workers(pool_workers)
         with traced_scope(
-            config, "batch", queries=len(queries), tau=tau
+            config, "batch", queries=len(queries), tau=options["tau"]
         ) as tracer:
-            degradations: List = []
-            results: Optional[List[QueryResult]] = None
+            outcome = None
             if pool_workers > 1 and len(queries) > 1:
-                results, degradations = parallel_batch_range_query(
-                    self,
-                    queries,
-                    tau,
+                # verify_workers pinned to 1: the batch already owns the
+                # process fan-out, so chunks never nest a verify pool.
+                options = dict(options, verify_workers=1)
+                chunks = chunk_evenly(queries, pool_workers)
+                outcome = fan_out(
+                    self.disk_handle(),
+                    chunk_task,
+                    options,
+                    chunks,
+                    stage="batch",
                     workers=pool_workers,
-                    k=k,
-                    h=h,
-                    verify=verify,
+                    policy=ResiliencePolicy.from_config(config),
+                    faults=FaultPlan.parse(config.fault_plan),
                     tracer=tracer,
                 )
-            if results is None:
-                results = self._serial_batch_range_query(
-                    queries,
-                    tau,
-                    k=k,
-                    h=h,
-                    verify=verify,
-                    verify_workers=verify_workers,
-                )
-            if degradations and results:
-                results[0].stats.degradations.extend(degradations)
+            if outcome is None or outcome.rounds == 0:
+                # No pool ran: the whole batch is one serial chunk.
+                options = dict(options, verify_workers=verify_workers)
+                results = chunk_task(self, options, queries)
+            else:
+                results = []
+                for index, chunk in enumerate(chunks):
+                    if index in outcome.results:
+                        chunk_results = outcome.results[index]
+                        if config.metrics:
+                            # Worker-process registries die with the
+                            # worker; fold their stats into ours here.
+                            for result in chunk_results:
+                                record_query_metrics(
+                                    GLOBAL_METRICS, result.stats, result.elapsed
+                                )
+                    elif tracer.enabled:
+                        # Per-chunk salvage: only the unfinished remainder
+                        # runs serially; completed chunks are reused.
+                        with tracer.span(
+                            "salvage.chunk", chunk=index, queries=len(chunk)
+                        ):
+                            chunk_results = chunk_task(self, options, chunk)
+                    else:
+                        chunk_results = chunk_task(self, options, chunk)
+                    results.extend(chunk_results)
+            if outcome is not None and outcome.events and results:
+                results[0].stats.degradations.extend(outcome.events)
         if tracer.enabled:
             shared = Trace(tracer.snapshot(), tracer.trace_id)
             for result in results:
@@ -469,14 +518,10 @@ class SegosIndex:
         verify: str = "none",
         verify_workers: Optional[int] = None,
     ) -> List[QueryResult]:
-        """In-process batch execution (also the per-chunk parallel worker).
+        """In-process batch execution (also the per-chunk pool task).
 
         One :class:`~repro.core.plan.QuerySession` serves the whole batch,
-        so the TA cache is shared across queries.  Parallel-batch chunks
-        call this with ``verify_workers=1`` pinned (see
-        :func:`repro.perf.parallel.parallel_batch_range_query`), so a
-        process-parallel batch never nests a verification pool inside its
-        worker processes.
+        so the TA cache is shared across queries.
         """
         if verify not in ("none", "exact"):
             raise ValueError(f"unknown verify mode {verify!r}")
@@ -507,9 +552,9 @@ class SegosIndex:
         Returns the :class:`~repro.perf.diskcat.DiskHandle` recorded at the
         last ``load_index``/``save_index`` sync **only while the engine has
         not mutated since** (the index generation still equals the handle's
-        ``local_generation``).  The pool paths use this to ship workers a
-        tiny ``(path, generation)`` ticket instead of a pickled engine;
-        ``None`` means "no valid disk twin — fall back to pickling".
+        ``local_generation``).  Pool workers attach the engine by this
+        tiny ``(path, generation)`` ticket; ``None`` means "no valid disk
+        twin" and the pool stages run serially.
         """
         handle = self._disk_source
         if handle is None:
@@ -568,3 +613,10 @@ class SegosIndex:
                 raise AssertionError(f"graph {gid!r} has an uncatalogued star")
             if expect != self.index.graph_star_counts(gid):
                 raise AssertionError(f"star multiset mismatch for graph {gid!r}")
+
+
+def _engine_chunk(
+    engine: SegosIndex, options: Dict[str, object], queries: Sequence[Graph]
+) -> List[QueryResult]:
+    """One batch chunk on *engine* (pool task, serial batch and salvage)."""
+    return engine._serial_batch_range_query(queries, **options)

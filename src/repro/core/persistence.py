@@ -155,8 +155,8 @@ def load_index(
     config's knob) and a fresh sidecar sits next to the file, the index is
     memory-mapped instead of rebuilt: graphs parse lazily on first access,
     the columnar kernels run directly over the mapped pages, and the
-    returned engine carries a :class:`~repro.perf.diskcat.DiskHandle` that
-    the worker-pool paths ship in place of a pickled engine.  Any sidecar
+    returned engine carries the :class:`~repro.perf.diskcat.DiskHandle`
+    that pool workers attach it by.  Any sidecar
     problem — absent, stale, corrupt, truncated — falls back to the
     streaming rebuild; the two paths return byte-identical engines.
     """

@@ -42,8 +42,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.model import Graph, normalization_factor
 from ..graphs.star import decompose
-from ..obs.trace import Trace
-from ..perf.parallel import effective_workers, parallel_batch_range_query
 from .bounds import SeenGraph, settle_by_full_bounds
 from .ca_search import _GraphResolver
 from .engine import QueryResult, SegosIndex
@@ -56,7 +54,6 @@ from .plan import (
     Stage,
     VerifyStage,
     apply_call_aliases,
-    traced_scope,
 )
 from .tiers import resolve_tier_chain
 from .stats import QueryStats
@@ -195,70 +192,39 @@ class PipelinedSegos:
     ) -> List[QueryResult]:
         """Pipelined equivalent of :meth:`SegosIndex.batch_range_query`.
 
-        With ``workers > 1`` (default: the engine's resolved
-        ``batch_workers`` knob) query chunks run in worker processes, each
-        executing the full three-stage pipeline per query; otherwise the
-        batch runs serially in-process through one session, so queries
-        share their TA top-k searches.  Answers are identical either way.
-        ``verify_workers`` parallelises exact verification per query on the
-        serial path only (parallel chunks pin it to 1 — one pool, not pools
-        of pools).  Traced runs collect the whole batch — worker spans
-        included — into one span tree shared by every result.
+        Runs through the wrapped engine's batch body, so the same rules
+        hold: with ``workers > 1`` (default: the engine's resolved
+        ``batch_workers`` knob) query chunks run in worker processes that
+        attach the engine's on-disk index, each executing the full
+        three-stage pipeline per query; an engine with no current
+        :meth:`~SegosIndex.disk_handle` runs the batch serially in-process
+        through one session, so queries share their TA top-k searches.
+        Answers are identical either way.  ``verify_workers`` parallelises
+        exact verification per query on the serial path only.
         """
-        if verify not in ("none", "exact"):
-            raise ValueError(f"unknown verify mode {verify!r}")
-        config = self.engine.config.override(batch_workers=workers, trace=trace)
-        # Same 1-core gate as the engine's batch: defaulted worker counts
-        # fall through to serial when the machine cannot parallelise.
-        pool_workers = config.batch_workers
-        if workers is None:
-            pool_workers = effective_workers(pool_workers)
-        with traced_scope(
-            config, "batch", queries=len(queries), tau=tau
-        ) as tracer:
-            degradations: List = []
-            results: Optional[List[QueryResult]] = None
-            if pool_workers > 1 and len(queries) > 1:
-                results, degradations = parallel_batch_range_query(
-                    self,
-                    queries,
-                    tau,
-                    workers=pool_workers,
-                    verify=verify,
-                    tracer=tracer,
-                )
-            if results is None:
-                results = self._serial_batch_range_query(
-                    queries, tau, verify=verify, verify_workers=verify_workers
-                )
-            if degradations and results:
-                results[0].stats.degradations.extend(degradations)
-        if tracer.enabled:
-            shared = Trace(tracer.snapshot(), tracer.trace_id)
-            for result in results:
-                result.trace = shared
-        return results
+        return self.engine._batch(
+            queries,
+            _pipelined_chunk,
+            {"tau": tau, "k": self.k, "verify": verify},
+            workers=workers,
+            verify_workers=verify_workers,
+            trace=trace,
+        )
 
-    def _serial_batch_range_query(
-        self,
-        queries: Sequence[Graph],
-        tau: float,
-        *,
-        k: Optional[int] = None,
-        h: Optional[int] = None,
-        verify: str = "none",
-        verify_workers: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """In-process batch execution (also the per-chunk parallel worker).
 
-        ``k``/``h`` are accepted for signature compatibility with the
-        engine's serial batch (the parallel chunk runner passes them); the
-        pipeline fixes its own k and has no checkpoint period.
-        """
-        session = self.engine.session(k=self.k, verify_workers=verify_workers)
-        return [
-            self._run(session, query, tau, verify=verify) for query in queries
-        ]
+def _pipelined_chunk(
+    engine: SegosIndex, options: Dict[str, object], queries: Sequence[Graph]
+) -> List[QueryResult]:
+    """One pipelined batch chunk on *engine* (pool task, serial and salvage).
+
+    One session serves the chunk, so its queries share TA top-k searches.
+    """
+    pipe = PipelinedSegos(engine, k=options["k"])
+    session = engine.session(k=pipe.k, verify_workers=options["verify_workers"])
+    return [
+        pipe._run(session, query, options["tau"], verify=options["verify"])
+        for query in queries
+    ]
 
 
 class _PipelineRun:

@@ -411,9 +411,9 @@ class VerifyStage(Stage):
             resilience=ResiliencePolicy.from_config(ctx.config),
             fault_plan=ctx.config.fault_plan,
             tracer=ctx.tracer,
-            # Engines synced with an on-disk index twin ship workers a
-            # (path, generation) handle instead of pickled graphs; duck-typed
-            # engine stand-ins in tests simply don't offer one.
+            # Pool workers attach the engine's on-disk index by this handle;
+            # without one (in memory, mutated since the last save, or a
+            # duck-typed stand-in) the A* runs stay serial.
             disk_handle=getattr(ctx.engine, "disk_handle", lambda: None)(),
         )
         ctx.matches = set(report.matches)

@@ -13,50 +13,39 @@ schedulable step:
   an aggregation shortcut) are rejected without A*;
 * each A* run gets a state budget; blown budgets are reported as
   ``undecided`` rather than crashing the batch;
-* with ``workers > 1`` (or ``REPRO_VERIFY_WORKERS``) the A* runs fan out
-  over the **supervised** process pool (:mod:`repro.resilience.pool`).
+* with ``workers > 1`` the A* runs fan out over the **supervised** process
+  pool through :func:`repro.perf.parallel.fan_out`: workers attach the
+  engine from its :class:`~repro.perf.diskcat.DiskHandle` and read the
+  candidate graphs from the mapped index, so each task ships only a gid.
   The bounds stage stays in-process (it is cheap and prunes most of the
   batch); the surviving runs are dispatched in the same ``L_m``-ascending
   priority order, each with its budget intact.  Hung workers are killed
   after ``task_timeout``, broken pools are re-spawned with completed runs
   salvaged, and a blown ``deadline`` terminates the worker processes
-  outright so it actually bounds wall-clock.  Engines or graphs that
-  cannot be pickled degrade to the serial path with identical answers,
-  and every degradation lands in :attr:`VerificationReport.degradations`.
+  outright so it actually bounds wall-clock.  Without a handle the runs
+  stay serial with identical answers, and every degradation lands in
+  :attr:`VerificationReport.degradations`.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import SearchBudgetExceeded
 from ..graphs.edit_distance import PreparedQuery, graph_edit_distance, prepare_query
 from ..graphs.model import Graph
-from ..config import ENV_VERIFY_WORKERS, env_int
 from .bounds import settle_by_full_bounds
 from ..obs.trace import NULL_TRACER, current_tracer
-from ..resilience.faults import FaultPlan, resolve_fault_plan
-from ..resilience.pool import PoolTask, ResiliencePolicy, run_supervised
+from ..perf.parallel import fan_out
+from ..resilience.faults import resolve_fault_plan
+from ..resilience.pool import ResiliencePolicy
 from ..resilience.telemetry import DegradationEvent
 
 #: Default per-candidate A* state budget for *direct* verify_candidates
 #: calls; engine-driven verification uses ``EngineConfig.verify_budget``.
 DEFAULT_VERIFY_BUDGET = 200_000
-
-#: Exceptions that mean "this payload cannot travel to a worker process".
-PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError, NotImplementedError)
-
-
-def resolve_verify_workers(workers: Optional[int] = None) -> int:
-    """Resolve the verify worker count from argument / environment / serial."""
-    if workers is None:
-        workers = env_int(ENV_VERIFY_WORKERS, 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
 
 
 @dataclass
@@ -83,22 +72,20 @@ class VerificationReport:
 
 
 def _astar_outcome(
-    query: Graph,
-    graph: Graph,
-    tau: int,
-    budget: int,
-    prepared: Optional[PreparedQuery] = None,
+    graph: Graph, context: Tuple[PreparedQuery, int, int]
 ) -> Tuple[str, int]:
     """One A* run folded to ``(scheduling outcome, states expanded)``.
 
-    *prepared* is the hoisted query-side search state
-    (:func:`~repro.graphs.edit_distance.prepare_query`) — candidates of one
-    query share it instead of each A* run recomputing it cold.
+    *context* is ``(prepared, tau, budget)``: the hoisted query-side search
+    state (:func:`~repro.graphs.edit_distance.prepare_query`) is shared by
+    every candidate of one query — in-process and, pickled once, by every
+    worker — instead of each A* run recomputing it cold.
     """
+    prepared, tau, budget = context
     counters: dict = {}
     try:
         distance = graph_edit_distance(
-            query,
+            prepared.graph,
             graph,
             threshold=tau,
             budget=budget,
@@ -111,182 +98,35 @@ def _astar_outcome(
     return verdict, counters.get("expanded", 0)
 
 
-# The query/τ/budget triple travels to each worker exactly once through the
-# executor initializer (plus the worker's own prepared query state, built
-# once there); tasks then carry only (gid, graph).
-_WORKER_CTX: Optional[Tuple[Graph, int, int, PreparedQuery]] = None
-
-# Disk-transport alternative: the worker holds a lazily-parsing graph store
-# over the mapped database text, and tasks carry only the gid.
-_WORKER_GRAPHS: Optional[Mapping[object, Graph]] = None
-
-
-def _init_verify_worker(blob: bytes) -> None:
-    global _WORKER_CTX
-    query, tau, budget = pickle.loads(blob)
-    _WORKER_CTX = (query, tau, budget, prepare_query(query))
+def _traced_astar(
+    tracer, gid: object, graph: Graph, context: Tuple[PreparedQuery, int, int]
+) -> Tuple[str, int]:
+    if not tracer.enabled:
+        return _astar_outcome(graph, context)
+    with tracer.span("verify.astar", gid=str(gid)) as span:
+        verdict, expanded = _astar_outcome(graph, context)
+        span.attrs["verdict"] = verdict
+        span.attrs["expanded"] = expanded
+    return verdict, expanded
 
 
-def _init_verify_worker_disk(handle, ctx_blob: bytes) -> None:
-    """Attach candidate graphs from the on-disk database text.
-
-    Only the query/τ/budget context is pickled; candidate graphs parse on
-    demand, worker-side, from the same text file the parent's engine is
-    synced with (the handle's source hash proves it is still that file).
-    """
-    global _WORKER_CTX, _WORKER_GRAPHS
-    from ..perf.diskcat import LazyGraphStore  # lazy: keeps core import-light
-
-    query, tau, budget = pickle.loads(ctx_blob)
-    _WORKER_CTX = (query, tau, budget, prepare_query(query))
-    _WORKER_GRAPHS = LazyGraphStore(
-        handle.graph_path, expected_sha=bytes.fromhex(handle.source_sha)
-    )
+def _astar_task(engine, context: Tuple[PreparedQuery, int, int], gid: object):
+    """Worker-side A* run against the attached engine's graph store."""
+    tracer = current_tracer() or NULL_TRACER  # installed by the pool if traced
+    return _traced_astar(tracer, gid, engine.graph(gid), context)
 
 
-def _run_verify_task_disk(gid: object) -> Tuple[object, str, int]:
-    assert _WORKER_GRAPHS is not None, "verify worker initializer did not run"
-    return _run_verify_task(gid, _WORKER_GRAPHS[gid])
-
-
-def _run_verify_task(gid: object, graph: Graph) -> Tuple[object, str, int]:
-    assert _WORKER_CTX is not None, "verify worker initializer did not run"
-    query, tau, budget, prepared = _WORKER_CTX
-    tracer = current_tracer()  # the worker-side tracer installed by the pool
-    if tracer is not None:
-        with tracer.span("verify.astar", gid=str(gid)) as span:
-            verdict, expanded = _astar_outcome(
-                query, graph, tau, budget, prepared
-            )
-            span.attrs["verdict"] = verdict
-            span.attrs["expanded"] = expanded
+def _record(
+    report: VerificationReport, gid: object, verdict: str, expanded: int
+) -> None:
+    report.astar_runs += 1
+    report.astar_expansions += expanded
+    if verdict == "match":
+        report.matches.add(gid)
+    elif verdict == "rejected":
+        report.rejected.add(gid)
     else:
-        verdict, expanded = _astar_outcome(query, graph, tau, budget, prepared)
-    return gid, verdict, expanded
-
-
-def _parallel_astar(
-    graphs: Mapping[object, Graph],
-    query: Graph,
-    scheduled: Sequence[Tuple[float, object]],
-    tau: int,
-    budget: int,
-    deadline: Optional[float],
-    started: float,
-    workers: int,
-    report: VerificationReport,
-    policy: ResiliencePolicy,
-    faults: FaultPlan,
-    tracer=NULL_TRACER,
-    disk_handle=None,
-) -> List[Tuple[float, object]]:
-    """Fan the scheduled A* runs out over the supervised worker pool.
-
-    Folds every completed run into *report* and returns the scheduled
-    items still unsettled — the unpicklable-payload fallback (everything),
-    the circuit-breaker remainder, or deadline-abandoned stragglers — for
-    the caller's serial loop, which preserves today's semantics for each
-    (serial execution, or ``undecided`` once the deadline has passed).
-    Priority is preserved by submitting in ``L_m`` order: the pool pops
-    tasks FIFO, so the most promising candidates still run first.
-
-    With a current *disk_handle* (the engine's on-disk index twin), the
-    candidate graphs are not pickled at all: workers lazily parse them
-    from the mapped database text, and each task ships only its gid.
-    """
-    if disk_handle is not None:
-        try:
-            ctx_blob = pickle.dumps(
-                (query, tau, budget), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except PICKLE_ERRORS as exc:
-            report.degradations.append(
-                DegradationEvent(
-                    point="pickle.engine",
-                    stage="verify",
-                    cause=repr(exc),
-                    lost=len(scheduled),
-                    fallback="serial",
-                )
-            )
-            return list(scheduled)
-        transport = "disk"
-        initializer = _init_verify_worker_disk
-        initargs: Tuple = (disk_handle, ctx_blob)
-        tasks = [
-            PoolTask(index, _run_verify_task_disk, (gid,))
-            for index, (_, gid) in enumerate(scheduled)
-        ]
-    else:
-        injected = faults.fire("pickle.engine", stage="verify")
-        if injected is not None:
-            report.degradations.append(
-                DegradationEvent(
-                    point="pickle.engine",
-                    stage="verify",
-                    cause="injected fault: pickle.engine",
-                    injected=True,
-                    lost=len(scheduled),
-                    fallback="serial",
-                )
-            )
-            return list(scheduled)
-        try:
-            ctx_blob = pickle.dumps(
-                (query, tau, budget), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            task_args = [(gid, graphs[gid]) for _, gid in scheduled]
-            pickle.dumps(task_args[0], protocol=pickle.HIGHEST_PROTOCOL)
-        except PICKLE_ERRORS as exc:
-            report.degradations.append(
-                DegradationEvent(
-                    point="pickle.engine",
-                    stage="verify",
-                    cause=repr(exc),
-                    lost=len(scheduled),
-                    fallback="serial",
-                )
-            )
-            return list(scheduled)
-        transport = "pickle"
-        initializer = _init_verify_worker
-        initargs = (ctx_blob,)
-        tasks = [
-            PoolTask(index, _run_verify_task, (gid, graph))
-            for index, (gid, graph) in enumerate(task_args)
-        ]
-
-    outcome = run_supervised(
-        tasks,
-        workers=min(workers, len(scheduled)),
-        policy=policy,
-        initializer=initializer,
-        initargs=initargs,
-        faults=faults,
-        stage="verify",
-        deadline=deadline,
-        started=started,
-        tracer=tracer,
-        transport=transport,
-    )
-    report.degradations.extend(outcome.events)
-    report.workers_used = max(outcome.workers_used, 1)
-
-    remaining: List[Tuple[float, object]] = []
-    for index, (l_m, gid) in enumerate(scheduled):
-        if index in outcome.results:
-            _, verdict, expanded = outcome.results[index]
-            report.astar_runs += 1
-            report.astar_expansions += expanded
-            if verdict == "match":
-                report.matches.add(gid)
-            elif verdict == "rejected":
-                report.rejected.add(gid)
-            else:
-                report.undecided.add(gid)
-        else:
-            remaining.append((l_m, gid))
-    return remaining
+        report.undecided.add(gid)
 
 
 def verify_candidates(
@@ -298,7 +138,7 @@ def verify_candidates(
     already_confirmed: Sequence[object] = (),
     budget_per_candidate: int = DEFAULT_VERIFY_BUDGET,
     deadline: Optional[float] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     assignment_backend: Optional[str] = None,
     resilience: Optional[ResiliencePolicy] = None,
     fault_plan=None,
@@ -310,9 +150,11 @@ def verify_candidates(
     ``already_confirmed`` entries (e.g. upper-bound hits from the filter)
     are admitted directly.  ``deadline`` (seconds) stops scheduling new A*
     runs once exceeded; unprocessed candidates end up ``undecided``.
-    ``workers`` (default: the ``REPRO_VERIFY_WORKERS`` environment
-    variable) above 1 dispatches the A* runs to the supervised process
-    pool, governed by *resilience* (default: the ``REPRO_TASK_TIMEOUT`` /
+    ``workers`` above 1 dispatches the A* runs to the supervised process
+    pool when *disk_handle* (the engine's
+    :meth:`~repro.core.engine.SegosIndex.disk_handle`) is current — without
+    one they run in-process and a degradation event says so — governed by
+    *resilience* (default: the ``REPRO_TASK_TIMEOUT`` /
     ``REPRO_MAX_POOL_RETRIES`` / ``REPRO_RETRY_BACKOFF`` environment
     knobs) and *fault_plan* (a spec string, a parsed
     :class:`~repro.resilience.faults.FaultPlan`, or ``None`` for the
@@ -328,6 +170,8 @@ def verify_candidates(
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     started = time.perf_counter()
     report = VerificationReport()
     report.matches.update(already_confirmed)
@@ -350,50 +194,33 @@ def verify_candidates(
             scheduled.append((l_m, gid))
     scheduled.sort(key=lambda item: (item[0], str(item[1])))
 
-    workers = resolve_verify_workers(workers)
-    remaining: Sequence[Tuple[float, object]] = scheduled
-    if workers > 1 and len(scheduled) > 1:
-        policy = resilience if resilience is not None else ResiliencePolicy.from_env()
-        faults = resolve_fault_plan(fault_plan)
-        remaining = _parallel_astar(
-            graphs,
-            query,
-            scheduled,
-            tau,
-            budget_per_candidate,
-            deadline,
-            started,
-            workers,
-            report,
-            policy,
-            faults,
-            tracer,
+    gids = [gid for _, gid in scheduled]
+    context = (prepare_query(query), tau, budget_per_candidate) if gids else None
+    remaining = gids
+    if workers > 1 and len(gids) > 1:
+        outcome = fan_out(
             disk_handle,
+            _astar_task,
+            context,
+            gids,
+            stage="verify",
+            workers=workers,
+            policy=resilience if resilience is not None else ResiliencePolicy.from_env(),
+            faults=resolve_fault_plan(fault_plan),
+            tracer=tracer,
+            deadline=deadline,
+            started=started,
         )
+        report.degradations.extend(outcome.events)
+        report.workers_used = max(outcome.workers_used, 1)
+        for index, (verdict, expanded) in outcome.results.items():
+            _record(report, gids[index], verdict, expanded)
+        remaining = [gid for index, gid in enumerate(gids) if index not in outcome.results]
 
-    prepared = prepare_query(query) if remaining else None
-    for l_m, gid in remaining:
+    for gid in remaining:
         if deadline is not None and time.perf_counter() - started > deadline:
             report.undecided.add(gid)
             continue
-        report.astar_runs += 1
-        if tracer.enabled:
-            with tracer.span("verify.astar", gid=str(gid)) as span:
-                outcome, expanded = _astar_outcome(
-                    query, graphs[gid], tau, budget_per_candidate, prepared
-                )
-                span.attrs["verdict"] = outcome
-                span.attrs["expanded"] = expanded
-        else:
-            outcome, expanded = _astar_outcome(
-                query, graphs[gid], tau, budget_per_candidate, prepared
-            )
-        report.astar_expansions += expanded
-        if outcome == "match":
-            report.matches.add(gid)
-        elif outcome == "rejected":
-            report.rejected.add(gid)
-        else:
-            report.undecided.add(gid)
+        _record(report, gid, *_traced_astar(tracer, gid, graphs[gid], context))
     report.elapsed = time.perf_counter() - started
     return report

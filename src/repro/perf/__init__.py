@@ -9,16 +9,17 @@ configurable via environment variables (see the README's performance table):
 * :mod:`repro.perf.assignment` — pluggable assignment-problem backends
   (pure Hungarian vs SciPy) behind :func:`solve_assignment`
   (``REPRO_ASSIGNMENT_BACKEND``);
-* :mod:`repro.perf.parallel` — process-parallel batch range queries with a
-  serial fallback (``REPRO_BATCH_WORKERS``);
+* :mod:`repro.perf.parallel` — the one process fan-out: batch chunks and
+  verification A* runs go to supervised workers that attach the on-disk
+  index by :class:`DiskHandle`; an engine without one runs serially
+  (``REPRO_BATCH_WORKERS`` / ``REPRO_VERIFY_WORKERS``);
 * :mod:`repro.perf.columnar` — a generation-coherent columnar snapshot of
   the star catalog with vectorized batch-SED kernels, backing the ``scan``
   top-k backend (``REPRO_TOPK_BACKEND``) with a pure-Python fallback when
-  numpy is absent.  Parallel verification lives in :mod:`repro.core.verify`
-  (``REPRO_VERIFY_WORKERS``);
+  numpy is absent;
 * :mod:`repro.perf.diskcat` — the zero-copy on-disk index: the ``.segosx``
   mmap sidecar format, lazily-materialising mapped index views, delta
-  segments, and the :class:`DiskHandle` worker transport
+  segments, and the :class:`DiskHandle` that pool workers attach by
   (``REPRO_MMAP`` / ``REPRO_INDEX_PATH`` / ``REPRO_DELTA_COMPACT``).
 """
 
@@ -37,12 +38,7 @@ from .diskcat import (
     MappedTwoLevelIndex,
     default_sidecar_path,
 )
-from .parallel import (
-    chunk_evenly,
-    effective_workers,
-    parallel_batch_range_query,
-    resolve_workers,
-)
+from .parallel import chunk_evenly, effective_workers
 from .sed_cache import (
     DEFAULT_CAPACITY,
     GLOBAL_SED_CACHE,
@@ -70,10 +66,8 @@ __all__ = [
     "default_sidecar_path",
     "effective_workers",
     "numpy_available",
-    "parallel_batch_range_query",
     "register_backend",
     "resolve_backend",
-    "resolve_workers",
     "scipy_available",
     "sed_cache_clear",
     "sed_cache_info",

@@ -5,8 +5,8 @@ text format and, before this module, rebuilt the two-level index from
 scratch on every load — a full decompose-and-insert pass per process.
 That is the right durability story (the text file stays diff-able and
 interoperable) but the wrong cold-start story for a warm, multi-process
-engine: every worker paid the rebuild, and the pool paths additionally
-paid a full ``pickle.dumps(engine)`` per spawn.
+engine: every worker paid the rebuild.  With the sidecar, a pool worker
+attaches the saved index by its :class:`DiskHandle` instead.
 
 This module adds a derived, disposable **index sidecar** next to the
 graph file (``db.segos`` → ``db.segos.segosx``), following the jn
@@ -363,8 +363,8 @@ def replay_generation_bumps(ops: Iterable[Tuple[str, str, Optional[str]]]) -> in
 class DiskHandle:
     """A shippable ``(paths, generation)`` ticket for worker attachment.
 
-    Replaces the pickled engine in both supervised-pool transports: the
-    parent sends this tiny handle, the worker re-opens the two files and
+    The only way an engine reaches a pool worker: the parent sends this
+    tiny handle, the worker re-opens the two files and
     verifies it reconstructed the *same* state — ``disk_generation`` is
     deterministic across processes (base generation + replay bumps), so
     an out-of-band writer is caught by a simple equality check.
@@ -1314,10 +1314,6 @@ class LazyGraphStore(MutableMapping):
     overlay (additions/re-additions) and a tombstone set (removals) with
     plain-dict ordering semantics, so an engine holding this store
     behaves exactly like one holding a ``dict``.
-
-    Pickling materialises every live graph — the store degrades to a
-    plain in-memory mapping on the other side, which is precisely what
-    the legacy pickle-the-engine transport needs.
     """
 
     def __init__(
@@ -1405,19 +1401,6 @@ class LazyGraphStore(MutableMapping):
         )
         removed = sum(1 for gid in self._removed if gid in self._base)
         return len(self._base) - removed - hidden + len(self._overlay)
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        return {"graphs": dict(self.items())}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._path = ""
-        self._data = b""
-        self._ranges = {}
-        self._base = {}
-        self._cache = {}
-        self._overlay = dict(state["graphs"])
-        self._removed = set()
 
 
 # ---------------------------------------------------------------------------
@@ -1908,20 +1891,3 @@ class MappedTwoLevelIndex:
             raise IndexCorruptionError("graph star counts disagree with refcounts")
         if len(gs_off) != disk.n_graphs + 1:
             raise IndexCorruptionError("graph CSR length mismatch")
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        # Promote, then ship the plain in-memory index: mapped views (and
-        # the memoryview-backed snapshot cache) cannot cross a process
-        # boundary, but the materialised index pickles like any other.
-        return {"inner": self._materialize()}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._disk = None
-        self._inner = state["inner"]
-        self._generation = self._inner.generation
-        self.catalog = _MappedCatalog(self)
-        self.upper = _MappedUpper(self)
-        self.lower = _MappedLower(self)
-        self._counts_cache = {}
-        self._max_degree = None

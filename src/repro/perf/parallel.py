@@ -1,72 +1,52 @@
-"""Process-parallel batch range queries (supervised worker pool).
+"""Process fan-out over the on-disk index (the one supervised worker pool).
 
-The batch API of :meth:`repro.core.engine.SegosIndex.batch_range_query` is
-embarrassingly parallel across queries: each range query only reads the
-index.  CPython's GIL rules out thread-level speed-ups for this pure-Python
-CPU-bound work, so the parallel path ships the engine to worker *processes*
-once (via an executor initializer) and fans contiguous query chunks out to
-them, preserving input order in the results.
+Two stages fan out over worker *processes* — CPython's GIL rules out
+thread-level speed-ups for this pure-Python CPU-bound work: batch range
+queries (contiguous query chunks, see
+:meth:`repro.core.engine.SegosIndex.batch_range_query`) and exact
+verification (one A* run per candidate, see
+:func:`repro.core.verify.verify_candidates`).  Both go through
+:func:`fan_out`, which ships no engine and no graphs: each worker attaches
+the engine from its :class:`~repro.perf.diskcat.DiskHandle` by
+memory-mapping the saved index, and proves it reconstructed the parent's
+state.  Only the small per-call context (batch options, or the prepared
+query with τ and budget) is pickled, once, and travels through the
+executor initializer; each task then carries just its item.
 
 Robustness contract (all supervised by :mod:`repro.resilience.pool`):
 
-* engines that cannot be pickled (e.g. the sqlite backend holds a live
-  connection) are detected up front and the caller falls back to the
-  serial path — same answers, with the cause recorded as a
-  :class:`~repro.resilience.telemetry.DegradationEvent` instead of being
-  swallowed (a non-pickling-related error from a genuine bug propagates);
-* a broken pool (worker killed, fork unavailable) is killed and
-  re-spawned with bounded exponential-backoff retries; completed chunk
-  results are **salvaged** — only the failed remainder is re-queued, or
-  run serially in-process once the circuit breaker opens;
-* hung workers are bounded by ``task_timeout`` (the worker is terminated,
-  the task retried);
-* genuine query errors (empty query graph, negative τ) propagate exactly
-  as they would serially;
+* an engine with no current handle — built in memory, the sqlite backend,
+  or mutated since its last save/load — runs serially with the same
+  answers, and the fallback is recorded as a
+  :class:`~repro.resilience.telemetry.DegradationEvent`, never silent;
+* a broken pool (worker killed, fork unavailable, stale sidecar) is killed
+  and re-spawned with bounded exponential-backoff retries; completed task
+  results are **salvaged** and only the failed remainder is re-queued, or
+  handed back to the caller to run in-process once the circuit breaker
+  opens;
+* hung workers are bounded by ``task_timeout``;
 * every degradation is observable in ``QueryStats.degradations``.
-
-Each chunk runs the engine's serial batch internally, so the shared-TA-cache
-optimisation still applies within a chunk; per-query :class:`QueryStats`
-come back intact and can be folded with
-:meth:`repro.core.stats.QueryStats.merged`.
-
-Worker count precedence: explicit ``workers=`` argument, then the
-``REPRO_BATCH_WORKERS`` environment variable, then serial.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
-from ..config import ENV_BATCH_WORKERS, EngineConfig, env_int
 from ..errors import StaleSidecarError
-from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
-from ..obs.trace import NULL_TRACER, activate
+from ..obs.trace import NULL_TRACER
 from ..resilience.faults import FaultPlan
-from ..resilience.pool import PoolTask, ResiliencePolicy, run_supervised
+from ..resilience.pool import PoolOutcome, PoolTask, ResiliencePolicy, run_supervised
 from ..resilience.telemetry import DegradationEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..core.engine import QueryResult, SegosIndex
-    from ..graphs.model import Graph
+    from ..core.engine import SegosIndex
+    from .diskcat import DiskHandle
 
-#: Environment variable supplying the default worker count (1 = serial).
-#: Alias of :data:`repro.config.ENV_BATCH_WORKERS`.
-ENV_WORKERS = ENV_BATCH_WORKERS
-
-#: Exceptions that mean "this object cannot travel to a worker process".
+#: Exceptions that mean "this context cannot travel to a worker process".
 #: Anything else raised while pickling is a genuine bug and propagates.
 PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError, NotImplementedError)
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the worker count from argument / environment / serial."""
-    if workers is None:
-        workers = env_int(ENV_WORKERS, 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
 
 
 def effective_workers(requested: int) -> int:
@@ -102,17 +82,12 @@ def chunk_evenly(items: Sequence[Any], parts: int) -> List[List[Any]]:
     return chunks
 
 
-# The engine travels to each worker exactly once, through the executor
-# initializer, and is cached as a per-process global.
+# Per-process worker state, set once by the executor initializer.
 _WORKER_ENGINE: Optional["SegosIndex"] = None
+_WORKER_CONTEXT: Any = None
 
 
-def _init_worker(engine_blob: bytes) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = pickle.loads(engine_blob)
-
-
-def _init_worker_disk(handle) -> None:
+def _attach_worker(handle: "DiskHandle", context_blob: bytes) -> None:
     """Attach the worker's engine from the on-disk index (zero pickling).
 
     The worker memory-maps the same sidecar the parent holds, sharing its
@@ -122,7 +97,7 @@ def _init_worker_disk(handle) -> None:
     raises — the supervised pool turns that into a retry and ultimately a
     serial salvage in the parent, never a silent divergence.
     """
-    global _WORKER_ENGINE
+    global _WORKER_ENGINE, _WORKER_CONTEXT
     from ..core.persistence import load_index  # lazy: core.engine imports us
 
     engine = load_index(handle.graph_path, index_path=handle.index_path, mmap=True)
@@ -141,153 +116,82 @@ def _init_worker_disk(handle) -> None:
             found_sha=None if attached is None else attached.source_sha,
         )
     _WORKER_ENGINE = engine
+    _WORKER_CONTEXT = pickle.loads(context_blob)
 
 
-def _run_chunk(
-    queries: List["Graph"], tau: float, kwargs: Dict[str, Any]
-) -> List["QueryResult"]:
+def _run_task(fn: Callable[[Any, Any, Any], Any], item: Any) -> Any:
     assert _WORKER_ENGINE is not None, "worker initializer did not run"
-    return _WORKER_ENGINE._serial_batch_range_query(queries, tau, **kwargs)
+    return fn(_WORKER_ENGINE, _WORKER_CONTEXT, item)
 
 
-def _engine_config(engine) -> EngineConfig:
-    """The resolved config of a batch front-end (engine or pipeline)."""
-    config = getattr(engine, "config", None)
-    if config is None:
-        config = engine.engine.config  # PipelinedSegos wraps an engine
-    return config
-
-
-def parallel_batch_range_query(
-    engine: "SegosIndex",
-    queries: Sequence["Graph"],
-    tau: float,
+def fan_out(
+    handle: Optional["DiskHandle"],
+    fn: Callable[[Any, Any, Any], Any],
+    context: Any,
+    items: Sequence[Any],
     *,
+    stage: str,
     workers: int,
-    k: Optional[int] = None,
-    h: Optional[int] = None,
-    verify: str = "none",
-    tracer=None,
-) -> Tuple[Optional[List["QueryResult"]], List[DegradationEvent]]:
-    """Fan a batch of range queries out over *workers* processes.
+    policy: ResiliencePolicy,
+    faults: FaultPlan,
+    tracer=NULL_TRACER,
+    deadline: Optional[float] = None,
+    started: Optional[float] = None,
+) -> PoolOutcome:
+    """Run ``fn(engine, context, item)`` for each of *items* on worker processes.
 
-    Returns ``(results, degradations)``.  ``results`` is in input order;
-    chunks the supervised pool could not finish (circuit breaker open) are
-    salvaged by running only that remainder serially in-process.
-    ``results`` is ``None`` only when process-parallel execution was
-    impossible from the start (unpicklable engine) and the caller should
-    run the whole batch serially — the cause is in ``degradations`` either
-    way, for the caller to attach to its stats.
+    *fn* must be a module-level function; *engine* is the worker's engine,
+    attached from *handle*.  The outcome's ``results`` map item index →
+    return value; any index missing from it is the caller's to run
+    in-process (circuit breaker open) or to give up on (deadline blown).
 
-    An enabled *tracer* flows into the supervised pool (worker-side spans
-    stitch into the caller's tree) and wraps salvage re-runs, and each
-    worker-computed chunk's stats are folded into the parent's metrics
-    registry — worker-process registries are discarded with the process.
+    When the pool cannot start — no *handle*, or the context fails to
+    pickle (the ``pickle.engine`` fault point fires here) — the outcome
+    has no results, ``rounds == 0`` and one serial-fallback
+    :class:`DegradationEvent`.
     """
-    config = _engine_config(engine)
-    faults = FaultPlan.parse(config.fault_plan)
-    policy = ResiliencePolicy.from_config(config)
-    tracer = tracer if tracer is not None else NULL_TRACER
-    events: List[DegradationEvent] = []
 
-    def _note_event(event: DegradationEvent) -> None:
+    def _serial(point: str, cause: str, injected: bool = False) -> PoolOutcome:
+        event = DegradationEvent(
+            point=point,
+            stage=stage,
+            cause=cause,
+            injected=injected,
+            lost=len(items),
+            fallback="serial",
+        )
         if tracer.enabled:
             event.span_id = tracer.event(
-                f"degradation:{event.point}",
-                stage=event.stage,
-                cause=event.cause,
-                injected=event.injected,
-                fallback=event.fallback,
+                f"degradation:{point}",
+                stage=stage,
+                cause=cause,
+                injected=injected,
+                fallback="serial",
             )
-        events.append(event)
+        return PoolOutcome(unfinished=list(range(len(items))), events=[event])
 
-    # Transport selection: an engine whose on-disk index twin is still
-    # current ships workers a tiny (path, generation) handle — they attach
-    # the mapped sidecar and share its pages.  Everything else (engines
-    # built in memory, mutated since the last save, non-string gids) takes
-    # the legacy pickle-the-engine road.
-    handle = None
-    disk_handle = getattr(engine, "disk_handle", None)
-    if disk_handle is not None:
-        handle = disk_handle()
-    if handle is not None:
-        transport = "disk"
-        initializer = _init_worker_disk
-        initargs: Tuple[Any, ...] = (handle,)
-    else:
-        injected = faults.fire("pickle.engine", stage="batch")
-        if injected is not None:
-            _note_event(
-                DegradationEvent(
-                    point="pickle.engine",
-                    stage="batch",
-                    cause="injected fault: pickle.engine",
-                    injected=True,
-                    lost=len(queries),
-                    fallback="serial",
-                )
-            )
-            return None, events
-        try:
-            engine_blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
-        except PICKLE_ERRORS as exc:  # e.g. sqlite backend: connections don't pickle
-            _note_event(
-                DegradationEvent(
-                    point="pickle.engine",
-                    stage="batch",
-                    cause=repr(exc),
-                    lost=len(queries),
-                    fallback="serial",
-                )
-            )
-            return None, events
-        transport = "pickle"
-        initializer = _init_worker
-        initargs = (engine_blob,)
-
-    chunks = chunk_evenly(queries, workers)
-    # verify_workers pinned to 1: the batch already owns the process fan-out,
-    # and the verify-worker knob is inherited by workers — without the pin
-    # each chunk would nest a second pool per query.
-    kwargs = {"k": k, "h": h, "verify": verify, "verify_workers": 1}
-    tasks = [
-        PoolTask(index, _run_chunk, (chunk, tau, kwargs))
-        for index, chunk in enumerate(chunks)
-    ]
-    outcome = run_supervised(
+    if handle is None:
+        return _serial(
+            "disk.handle",
+            "no current DiskHandle: the engine was not loaded from or saved "
+            "to disk, or was mutated since",
+        )
+    if faults.fire("pickle.engine", stage=stage) is not None:
+        return _serial("pickle.engine", "injected fault: pickle.engine", True)
+    try:
+        context_blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    except PICKLE_ERRORS as exc:
+        return _serial("pickle.engine", repr(exc))
+    tasks = [PoolTask(index, _run_task, (fn, item)) for index, item in enumerate(items)]
+    return run_supervised(
         tasks,
-        workers=len(chunks),
+        workers=min(workers, len(items)),
         policy=policy,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_attach_worker,
+        initargs=(handle, context_blob),
         faults=faults,
-        stage="batch",
+        stage=stage,
+        deadline=deadline,
+        started=started,
         tracer=tracer,
-        transport=transport,
     )
-    events.extend(outcome.events)
-
-    results: List["QueryResult"] = []
-    for index, chunk in enumerate(chunks):
-        if index in outcome.results:
-            chunk_results = outcome.results[index]
-            if config.metrics:
-                # Worker-process registries die with the worker; fold the
-                # finished per-query stats into the parent's registry here.
-                for result in chunk_results:
-                    record_query_metrics(
-                        GLOBAL_METRICS, result.stats, result.elapsed
-                    )
-            results.extend(chunk_results)
-        elif tracer.enabled:
-            # Per-chunk salvage: only the unfinished remainder runs
-            # serially; every completed chunk's results are reused.
-            with activate(tracer):
-                with tracer.span("salvage.chunk", chunk=index, queries=len(chunk)):
-                    results.extend(
-                        engine._serial_batch_range_query(chunk, tau, **kwargs)
-                    )
-        else:
-            results.extend(engine._serial_batch_range_query(chunk, tau, **kwargs))
-    return results, events
-

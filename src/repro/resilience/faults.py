@@ -1,7 +1,7 @@
 """Deterministic fault injection: named points, scriptable plans.
 
 A production filter-and-verify engine degrades through a handful of
-branches — an unpicklable engine, a pool that will not spawn, a worker
+branches — a pool context that will not pickle, a pool that will not spawn, a worker
 that crashes or hangs, a chunk whose result never arrives.  Before this
 module, those branches were reachable only by monkeypatching internals or
 by getting unlucky in production.  Now every one of them is a **named
@@ -10,7 +10,7 @@ injection point** that a test (or a chaos CI leg) can trigger on demand:
 ========================  ====================================================
 point                     what firing it simulates
 ========================  ====================================================
-``pickle.engine``         the engine/payload fails to pickle for shipping
+``pickle.engine``         the per-call pool context fails to pickle
 ``pool.spawn``            the process pool cannot be created (``OSError``)
 ``worker.crash``          the worker process dies mid-task (``os._exit``)
 ``worker.hang``           the worker stops responding (sleeps ``seconds``)
@@ -216,8 +216,7 @@ def resolve_fault_plan(spec=None) -> FaultPlan:
 
     Accepts an already-parsed :class:`FaultPlan` (returned as-is, keeping
     its countdown state), a spec string, or ``None`` — which falls back to
-    ``REPRO_FAULT_PLAN``, mirroring the legacy ``resolve_*`` helpers for
-    direct, engine-less calls.
+    ``REPRO_FAULT_PLAN`` for direct, engine-less calls.
     """
     if isinstance(spec, FaultPlan):
         return spec

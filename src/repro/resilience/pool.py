@@ -1,7 +1,8 @@
 """The supervised process-pool executor: retry, salvage, circuit-break.
 
-This module owns the **only** ``ProcessPoolExecutor`` in the package (a
-grep guard enforces it).  The two parallel paths — batch range queries and
+This module owns the **only** ``ProcessPoolExecutor`` in the package, and
+:func:`repro.perf.parallel.fan_out` is its only caller (grep guards
+enforce both).  The two parallel stages — batch range queries and
 exact-verification A* fan-out — used to hand-roll their own pools with an
 all-or-nothing failure mode: one dead worker threw away *every* completed
 chunk and re-ran the whole batch serially, silently.  The supervisor
@@ -56,8 +57,7 @@ class ResiliencePolicy:
 
     Built from an :class:`~repro.config.EngineConfig` on engine-driven
     paths (:meth:`from_config`) or from the environment for direct,
-    engine-less calls (:meth:`from_env`, mirroring the legacy
-    ``resolve_*`` helpers).
+    engine-less calls (:meth:`from_env`).
     """
 
     #: seconds one task may run before its worker is killed (None = no limit)
@@ -119,11 +119,6 @@ class PoolOutcome:
     retries: int = 0
     deadline_blown: bool = False
     workers_used: int = 0
-    #: how task payloads reached the workers: "pickle" (serialized
-    #: engine/graphs through the initializer), "disk" (a DiskHandle the
-    #: workers attach by memory-mapping the on-disk index), or "" for
-    #: callers that predate transport tagging
-    transport: str = ""
 
     @property
     def ok(self) -> bool:
@@ -208,7 +203,6 @@ def run_supervised(
     deadline: Optional[float] = None,
     started: Optional[float] = None,
     tracer=None,
-    transport: str = "",
 ) -> PoolOutcome:
     """Run *tasks* on a supervised process pool; salvage whatever finishes.
 
@@ -228,18 +222,13 @@ def run_supervised(
     """
     faults = faults if faults is not None else EMPTY_PLAN
     tracer = tracer if tracer is not None else NULL_TRACER
-    outcome = PoolOutcome(transport=transport)
+    outcome = PoolOutcome()
     pending: List[PoolTask] = list(tasks)
     consecutive_failures = 0
     clock_started = started if started is not None else time.perf_counter()
 
     pool_span = (
-        tracer.begin(
-            f"pool:{stage or 'run'}",
-            tasks=len(tasks),
-            workers=workers,
-            **({"transport": transport} if transport else {}),
-        )
+        tracer.begin(f"pool:{stage or 'run'}", tasks=len(tasks), workers=workers)
         if tracer.enabled
         else None
     )

@@ -21,7 +21,8 @@ class DegradationEvent:
     point:
         The injection point that fired, or the classification of a real
         failure (``pool.broken``, ``worker.timeout``, ``task.error``,
-        ``deadline``).
+        ``deadline``, or ``disk.handle`` when the engine has no on-disk
+        index for pool workers to attach).
     stage:
         Which pool stage degraded (``batch`` or ``verify``).
     cause:

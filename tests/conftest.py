@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.core.engine import SegosIndex
+from repro.core.persistence import load_index, save_index
 from repro.datasets import aids_like, pdg_like
 from repro.graphs.model import Graph
 
@@ -56,6 +58,28 @@ def small_aids():
 def small_pdg():
     """60 PDG-like graphs, uniform sizes 5..11."""
     return pdg_like(60, seed=202, mean_order=8.0, min_order=5, max_order=11)
+
+
+@pytest.fixture(scope="session")
+def saved_engine(tmp_path_factory):
+    """Factory: ``saved_engine(graphs, **engine_kwargs)`` → a loaded engine.
+
+    Builds ``SegosIndex(graphs, **engine_kwargs)``, saves it to a fresh
+    temp directory and returns ``load_index`` of it — an engine attached
+    to its on-disk index, which is what pool workers attach by
+    (``disk_handle()``).  Engine kwargs persist in the saved header, so a
+    ``fault_plan`` or ``retry_backoff`` given here holds for the loaded
+    engine too.  Gids come back as strings.
+    """
+
+    def build(graphs, **engine_kwargs) -> SegosIndex:
+        path = tmp_path_factory.mktemp("saved") / "db.segos"
+        save_index(SegosIndex(graphs, **engine_kwargs), path)
+        engine = load_index(path)
+        assert engine.disk_handle() is not None
+        return engine
+
+    return build
 
 
 @pytest.fixture

@@ -195,13 +195,11 @@ class TestEnvIsolation:
         assert offenders == []
 
     def test_env_var_names_are_reexported(self):
-        from repro.core import ta_search, verify
-        from repro.perf import assignment, parallel, sed_cache
+        from repro.core import ta_search
+        from repro.perf import assignment, sed_cache
 
         assert assignment.ENV_BACKEND == ENV_ASSIGNMENT_BACKEND
-        assert parallel.ENV_WORKERS == ENV_BATCH_WORKERS
         assert sed_cache.ENV_CAPACITY == ENV_SED_CACHE_SIZE
-        assert verify.ENV_VERIFY_WORKERS == ENV_VERIFY_WORKERS
         assert ta_search.ENV_TOPK_BACKEND == ENV_TOPK_BACKEND
 
     def test_config_travels_to_subprocess(self):

@@ -530,12 +530,13 @@ def _rand_graph(n, seed, extra=3, labels="abcd"):
 
 
 @pytest.fixture(scope="module")
-def golden_result():
+def golden_result(saved_engine):
     """One traced pipelined query: exact verification fans out to two
-    worker processes, one of which is scripted to crash (and be respawned);
-    everything must stitch back into a single span tree."""
+    worker processes (attached to the saved corpus), one of which is
+    scripted to crash (and be respawned); everything must stitch back into
+    a single span tree."""
     graphs = {f"v{i}": _rand_graph(7, seed=i) for i in range(14)}
-    engine = SegosIndex(
+    engine = saved_engine(
         graphs,
         verify_workers=2,
         fault_plan="worker.crash:times=1:stage=verify",

@@ -1,23 +1,38 @@
-"""Tests for process-parallel batch range queries (repro.perf.parallel)."""
+"""Tests for the process fan-out (repro.perf.parallel) through batch queries.
+
+Pool workers attach the engine's on-disk index, so the pool tests run on
+a saved-and-loaded engine; an engine without a current ``disk_handle()``
+runs serially.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import ENV_BATCH_WORKERS
 from repro.core.engine import SegosIndex
 from repro.core.pipeline import PipelinedSegos
 from repro.core.stats import QueryStats
 from repro.datasets import aids_like, sample_queries
 from repro.perf import parallel
-from repro.perf.parallel import chunk_evenly, effective_workers, resolve_workers
+from repro.perf.parallel import chunk_evenly, effective_workers
+
+
+def _graphs():
+    data = aids_like(30, seed=7, mean_order=7, stddev=2)
+    return data, {str(gid): g for gid, g in data.graphs.items()}
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    data = aids_like(30, seed=7, mean_order=7, stddev=2)
-    engine = SegosIndex(data.graphs, k=10, h=30)
+def corpus(saved_engine):
+    data, graphs = _graphs()
+    engine = saved_engine(graphs, k=10, h=30)
     queries = sample_queries(data, 6, seed=11)
-    return data, engine, queries
+    return graphs, engine, queries
+
+
+def _answers(results):
+    return [(sorted(r.candidates), sorted(r.matches)) for r in results]
 
 
 class TestHelpers:
@@ -31,19 +46,10 @@ class TestHelpers:
         assert chunk_evenly([1, 2], 5) == [[1], [2]]
         assert chunk_evenly([], 3) == []
 
-    def test_resolve_workers_precedence(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
-        assert resolve_workers() == 1
-        assert resolve_workers(3) == 3
-        monkeypatch.setenv(parallel.ENV_WORKERS, "4")
-        assert resolve_workers() == 4
-        assert resolve_workers(2) == 2  # explicit argument wins
-        monkeypatch.setenv(parallel.ENV_WORKERS, "garbage")
-        assert resolve_workers() == 1
-
-    def test_resolve_workers_rejects_nonpositive(self):
+    def test_nonpositive_workers_rejected(self, corpus):
+        _, engine, queries = corpus
         with pytest.raises(ValueError):
-            resolve_workers(0)
+            engine.batch_range_query(queries, tau=1, workers=0)
 
 
 class TestParallelBatch:
@@ -56,9 +62,11 @@ class TestParallelBatch:
             assert set(s.candidates) == set(p.candidates)
             assert s.matches == p.matches
 
-    def test_env_var_engages_parallel_path(self, corpus, monkeypatch):
-        _, engine, queries = corpus
-        monkeypatch.setenv(parallel.ENV_WORKERS, "2")
+    def test_env_var_engages_parallel_path(self, corpus, saved_engine, monkeypatch):
+        graphs, _, queries = corpus
+        monkeypatch.setenv(ENV_BATCH_WORKERS, "2")
+        engine = saved_engine(graphs, k=10, h=30)
+        assert engine.config.batch_workers == 2
         results = engine.batch_range_query(queries[:3], tau=1)
         serial = engine._serial_batch_range_query(queries[:3], 1)
         for s, p in zip(serial, results):
@@ -78,7 +86,7 @@ class TestParallelBatch:
             assert s.matches == p.matches
 
     def test_sqlite_backend_falls_back_to_serial(self):
-        """An unpicklable engine must degrade gracefully, not crash."""
+        """An engine that cannot reach workers must degrade gracefully."""
         data = aids_like(12, seed=3, mean_order=6, stddev=1)
         engine = SegosIndex(
             {str(gid): g for gid, g in data.graphs.items()}, backend="sqlite"
@@ -105,6 +113,64 @@ class TestParallelBatch:
         para = pipe.batch_range_query(queries[:4], tau=2, workers=2)
         for s, p in zip(serial, para):
             assert set(s.candidates) == set(p.candidates)
+
+    def test_pipelined_batch_attaches_by_handle(self, corpus, saved_engine):
+        """The pipelined front-end fans out through the engine it wraps:
+        two workers attach the saved index, nothing is materialised."""
+        graphs, _, queries = corpus
+        engine = saved_engine(graphs, k=10, h=30, fault_plan="")
+        pipe = PipelinedSegos(engine)
+        serial = pipe.batch_range_query(queries, tau=2, verify="exact")
+        pooled = pipe.batch_range_query(
+            queries, tau=2, verify="exact", workers=2, trace=True
+        )
+        assert _answers(pooled) == _answers(serial)
+        assert [e for r in pooled for e in r.stats.degradations] == []
+        (pool,) = pooled[0].trace.find("pool:batch")
+        assert pool.attrs["workers"] == 2
+        assert len(pooled[0].trace.processes()) >= 2  # worker spans came home
+        assert not engine.index.promoted
+        assert engine.disk_handle() is not None
+
+
+class TestSerialFallback:
+    """Engines with no current on-disk handle answer serially, loudly."""
+
+    @pytest.fixture(params=["memory", "sqlite", "mutated"])
+    def engine(self, request, corpus, saved_engine):
+        graphs, _, _ = corpus
+        if request.param == "memory":
+            return SegosIndex(graphs, k=10, h=30)
+        if request.param == "sqlite":
+            return SegosIndex(graphs, k=10, h=30, backend="sqlite")
+        engine = saved_engine(graphs, k=10, h=30)
+        gid = sorted(engine.gids())[0]
+        engine.add("copy", engine.graph(gid).copy())
+        return engine
+
+    def test_batch_runs_serially_with_one_event(self, engine, corpus):
+        _, _, queries = corpus
+        assert engine.disk_handle() is None
+        serial = engine._serial_batch_range_query(queries, 2)
+        results = engine.batch_range_query(queries, tau=2, workers=2)
+        assert _answers(results) == _answers(serial)
+        (event,) = [e for r in results for e in r.stats.degradations]
+        assert event.point == "disk.handle" and not event.injected
+        assert event.fallback == "serial"
+        assert "DiskHandle" in event.cause
+        assert event.stage == "batch" and event.lost == 2
+
+    def test_verify_runs_serially_with_one_event(self, engine):
+        data, _ = _graphs()
+        query = sample_queries(data, 4, seed=0, edits=2)[2]
+        serial = engine.range_query(query, tau=3, verify="exact")
+        assert serial.stats.astar_runs > 1  # precondition: a pool would run
+        fanned = engine.range_query(query, tau=3, verify="exact", verify_workers=2)
+        assert fanned.matches == serial.matches
+        assert fanned.stats.astar_runs == serial.stats.astar_runs
+        (event,) = fanned.stats.degradations
+        assert event.point == "disk.handle" and event.stage == "verify"
+        assert event.fallback == "serial"
 
 
 class TestStatsAggregation:
@@ -149,19 +215,17 @@ class TestEffectiveWorkers:
         assert effective_workers(8) == 1
 
     def test_defaulted_batch_workers_gated_on_one_core(self, corpus, monkeypatch):
-        data, _, queries = corpus
+        graphs, _, queries = corpus
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
         calls = []
-        engine = SegosIndex(data.graphs, k=10, h=30, batch_workers=4)
-        original = parallel.parallel_batch_range_query
+        engine = SegosIndex(graphs, k=10, h=30, batch_workers=4)
+        original = parallel.fan_out
 
         def spy(*args, **kwargs):
             calls.append(kwargs.get("workers"))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.core.engine.parallel_batch_range_query", spy
-        )
+        monkeypatch.setattr("repro.core.engine.fan_out", spy)
         engine.batch_range_query(queries[:2], tau=1.0)
         assert calls == []  # gate resolved to serial; the pool never ran
 

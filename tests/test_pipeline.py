@@ -94,11 +94,14 @@ class TestPipeline:
         if starved.matches != generous.matches:
             assert not starved.verified
 
-    def test_exact_verification_with_workers_matches_serial(self, pipeline_setup):
+    def test_exact_verification_with_workers_matches_serial(
+        self, pipeline_setup, saved_engine
+    ):
         rng, graphs, _, pipe = pipeline_setup
         query = rng.choice(list(graphs.values())).copy()
         serial = pipe.range_query(query, tau=2, verify="exact")
-        fanned = pipe.range_query(query, tau=2, verify="exact", verify_workers=2)
+        saved = PipelinedSegos(saved_engine(graphs, k=15, h=30))
+        fanned = saved.range_query(query, tau=2, verify="exact", verify_workers=2)
         assert fanned.matches == serial.matches
         assert fanned.stats.astar_runs == serial.stats.astar_runs
 

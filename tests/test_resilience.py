@@ -4,7 +4,8 @@ partial-result salvage, and degradation telemetry.
 The deterministic pool tests run ``run_supervised`` directly with
 ``workers=1`` so worker death cannot race sibling futures; the end-to-end
 acceptance tests go through the public engine API with scripted
-``EngineConfig.fault_plan`` specs.
+``EngineConfig.fault_plan`` specs, on saved-and-loaded engines (pool
+workers attach the on-disk index by ``DiskHandle``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.verify import verify_candidates
 from repro.datasets import aids_like, sample_queries
 from repro.errors import PoolBrokenError, ReproError, WorkerTimeout
 from repro.graphs.model import Graph
-from repro.perf.parallel import parallel_batch_range_query
 from repro.resilience import (
     EMPTY_PLAN,
     DegradationEvent,
@@ -388,12 +388,12 @@ def _answers(results):
 
 
 class TestBatchUnderFaults:
-    def test_worker_crash_acceptance(self, corpus):
-        """The ISSUE's acceptance bar: one scripted crash must yield one
-        retry, zero lost tasks, exactly one event, and identical results."""
+    def test_worker_crash_acceptance(self, corpus, saved_engine):
+        """The acceptance bar: one scripted crash must yield one retry,
+        zero lost tasks, exactly one event, and identical results."""
         graphs, queries = corpus
         clean = SegosIndex(graphs).batch_range_query(queries, tau=2)
-        engine = SegosIndex(
+        engine = saved_engine(
             graphs, fault_plan="worker.crash:times=1", retry_backoff=0.0
         )
         faulted = engine.batch_range_query(queries, tau=2, workers=2)
@@ -406,10 +406,10 @@ class TestBatchUnderFaults:
         assert event.lost == 0
         assert event.fallback == "respawn"
 
-    def test_injected_pickle_fault_falls_back_serial(self, corpus):
+    def test_injected_pickle_fault_falls_back_serial(self, corpus, saved_engine):
         graphs, queries = corpus
         clean = SegosIndex(graphs).batch_range_query(queries, tau=2)
-        engine = SegosIndex(graphs, fault_plan="pickle.engine")
+        engine = saved_engine(graphs, fault_plan="pickle.engine")
         faulted = engine.batch_range_query(queries, tau=2, workers=2)
         assert _answers(faulted) == _answers(clean)
         (event,) = faulted[0].stats.degradations
@@ -423,21 +423,14 @@ class TestBatchUnderFaults:
         engine = SegosIndex(graphs, backend="sqlite")
         results = engine.batch_range_query(queries, tau=2, workers=2)
         (event,) = results[0].stats.degradations
-        assert event.point == "pickle.engine" and not event.injected
-        assert "pickle" in event.cause.lower() or "Connection" in event.cause
+        assert event.point == "disk.handle" and not event.injected
+        assert event.fallback == "serial"
+        assert "DiskHandle" in event.cause
 
-    def test_unrelated_pickle_time_error_propagates(self, corpus):
-        """Only pickling-related errors mean "fall back serially"; a
-        genuine bug raised while serialising must propagate."""
-        graphs, queries = corpus
-        engine = _BrokenGetstateIndex(graphs)
-        with pytest.raises(RuntimeError, match="corrupted state"):
-            parallel_batch_range_query(engine, queries, 2, workers=2)
-
-    def test_circuit_breaker_salvages_whole_batch_serially(self, corpus):
+    def test_circuit_breaker_salvages_whole_batch_serially(self, corpus, saved_engine):
         graphs, queries = corpus
         clean = SegosIndex(graphs).batch_range_query(queries, tau=2)
-        engine = SegosIndex(
+        engine = saved_engine(
             graphs,
             fault_plan="worker.crash:times=inf",
             max_pool_retries=1,
@@ -447,11 +440,6 @@ class TestBatchUnderFaults:
         assert _answers(faulted) == _answers(clean)
         events = faulted[0].stats.degradations
         assert events[-1].fallback == "serial" and events[-1].lost > 0
-
-
-class _BrokenGetstateIndex(SegosIndex):
-    def __getstate__(self):
-        raise RuntimeError("corrupted state")
 
 
 # ----------------------------------------------------------------------
@@ -470,25 +458,27 @@ def _rand_graph(n, seed, extra=3, labels="abcd"):
 
 
 @pytest.fixture(scope="module")
-def verify_corpus():
+def verify_corpus(saved_engine):
     """A corpus/query pair whose bounds stay inconclusive, so several A*
-    runs actually reach the worker pool."""
+    runs actually reach the worker pool, plus the handle of the saved
+    corpus the workers attach."""
     graphs = {f"v{i}": _rand_graph(7, seed=i) for i in range(14)}
     query = _rand_graph(7, seed=99)
     baseline = verify_candidates(graphs, query, sorted(graphs), 4)
     assert baseline.astar_runs > 1  # precondition for every pool test below
-    return graphs, query, baseline
+    return graphs, query, baseline, saved_engine(graphs).disk_handle()
 
 
 class TestVerifyUnderFaults:
     def test_worker_crash_identical_verdicts(self, verify_corpus):
-        graphs, query, baseline = verify_corpus
+        graphs, query, baseline, handle = verify_corpus
         report = verify_candidates(
             graphs,
             query,
             sorted(graphs),
             4,
             workers=2,
+            disk_handle=handle,
             resilience=ResiliencePolicy(retry_backoff=0.0),
             fault_plan="worker.crash:times=1",
         )
@@ -498,9 +488,15 @@ class TestVerifyUnderFaults:
         assert event.point == "worker.crash" and event.stage == "verify"
 
     def test_pickle_fault_serial_fallback(self, verify_corpus):
-        graphs, query, baseline = verify_corpus
+        graphs, query, baseline, handle = verify_corpus
         report = verify_candidates(
-            graphs, query, sorted(graphs), 4, workers=2, fault_plan="pickle.engine"
+            graphs,
+            query,
+            sorted(graphs),
+            4,
+            workers=2,
+            disk_handle=handle,
+            fault_plan="pickle.engine",
         )
         assert report.matches == baseline.matches
         assert report.rejected == baseline.rejected
@@ -509,7 +505,7 @@ class TestVerifyUnderFaults:
 
     def test_blown_deadline_bounds_wall_clock(self, verify_corpus):
         """Satellite: a hung worker must not make verify_deadline a lie."""
-        graphs, query, _ = verify_corpus
+        graphs, query, _, handle = verify_corpus
         started = time.perf_counter()
         report = verify_candidates(
             graphs,
@@ -517,6 +513,7 @@ class TestVerifyUnderFaults:
             sorted(graphs),
             4,
             workers=2,
+            disk_handle=handle,
             deadline=0.5,
             resilience=ResiliencePolicy(retry_backoff=0.0),
             fault_plan="worker.hang:times=inf:seconds=60",
@@ -526,9 +523,9 @@ class TestVerifyUnderFaults:
         assert report.undecided  # abandoned runs are undecided, not lost
         assert any(e.point == "deadline" for e in report.degradations)
 
-    def test_session_config_reaches_verify_pool(self, verify_corpus):
-        graphs, query, _ = verify_corpus
-        engine = SegosIndex(graphs, retry_backoff=0.0)
+    def test_session_config_reaches_verify_pool(self, verify_corpus, saved_engine):
+        graphs, query, _, _ = verify_corpus
+        engine = saved_engine(graphs, retry_backoff=0.0)
         clean = engine.range_query(query, tau=4.0, verify="exact")
         session = engine.session(
             verify_workers=2, fault_plan="worker.crash:times=1:stage=verify"
@@ -554,10 +551,12 @@ SINGLE_FAULTS = (
 class TestSingleFaultProperty:
     @settings(deadline=None, max_examples=len(SINGLE_FAULTS))
     @given(spec=st.sampled_from(SINGLE_FAULTS))
-    def test_batch_identical_to_serial_under_any_fault(self, corpus, spec):
+    def test_batch_identical_to_serial_under_any_fault(
+        self, corpus, saved_engine, spec
+    ):
         graphs, queries = corpus
         serial = SegosIndex(graphs)._serial_batch_range_query(queries, 2)
-        engine = SegosIndex(
+        engine = saved_engine(
             graphs, fault_plan=spec, task_timeout=1.0, retry_backoff=0.0
         )
         faulted = engine.batch_range_query(queries, tau=2, workers=2)
@@ -569,13 +568,14 @@ class TestSingleFaultProperty:
     @settings(deadline=None, max_examples=len(SINGLE_FAULTS))
     @given(spec=st.sampled_from(SINGLE_FAULTS))
     def test_verify_identical_to_serial_under_any_fault(self, verify_corpus, spec):
-        graphs, query, baseline = verify_corpus
+        graphs, query, baseline, handle = verify_corpus
         report = verify_candidates(
             graphs,
             query,
             sorted(graphs),
             4,
             workers=2,
+            disk_handle=handle,
             resilience=ResiliencePolicy(task_timeout=1.0, retry_backoff=0.0),
             fault_plan=spec,
         )
@@ -651,3 +651,19 @@ class TestPoolOwnershipGuard:
             "hand-rolled pools found outside repro.resilience.pool: "
             f"{offenders}"
         )
+
+    def test_one_fan_out_and_one_transport(self):
+        """``perf/parallel.py`` is the only caller of the supervised pool
+        outside ``resilience/`` and the only place that pickles, so a
+        second fan-out or worker transport cannot come back unnoticed."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        callers, picklers = [], []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            name = str(path.relative_to(src))
+            if path.parent.name != "resilience" and "run_supervised" in text:
+                callers.append(name)
+            if "pickle.dumps" in text:
+                picklers.append(name)
+        assert callers == ["perf/parallel.py"]
+        assert picklers == ["perf/parallel.py"]

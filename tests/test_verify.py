@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.core import verify as verify_mod
+from repro.config import ENV_VERIFY_WORKERS
 from repro.core.engine import SegosIndex
-from repro.core.verify import resolve_verify_workers, verify_candidates
+from repro.core.verify import verify_candidates
 from repro.datasets import aids_like, sample_queries
 from repro.graphs.edit_distance import graph_edit_distance
 from repro.graphs.generators import erdos_renyi
@@ -99,28 +99,29 @@ class TestVerifyCandidates:
         assert not report.matches
 
 
-class TestParallelVerification:
-    def test_resolve_workers_precedence(self, monkeypatch):
-        monkeypatch.delenv(verify_mod.ENV_VERIFY_WORKERS, raising=False)
-        assert resolve_verify_workers() == 1
-        assert resolve_verify_workers(3) == 3
-        monkeypatch.setenv(verify_mod.ENV_VERIFY_WORKERS, "4")
-        assert resolve_verify_workers() == 4
-        assert resolve_verify_workers(2) == 2  # argument beats environment
-        monkeypatch.setenv(verify_mod.ENV_VERIFY_WORKERS, "garbage")
-        assert resolve_verify_workers() == 1
-        with pytest.raises(ValueError):
-            resolve_verify_workers(0)
+@pytest.fixture(scope="module")
+def pool_setup(saved_engine):
+    """The verify corpus saved and loaded, so pool workers can attach it."""
+    data = aids_like(25, seed=19, mean_order=7, stddev=2)
+    graphs = {str(gid): g for gid, g in data.graphs.items()}
+    return data, graphs, saved_engine(graphs, k=10, h=30)
 
-    def test_parallel_report_equals_serial(self, verify_setup):
+
+class TestParallelVerification:
+    def test_parallel_report_equals_serial(self, pool_setup):
         """Same partition, same bookkeeping, regardless of worker count."""
-        data, engine = verify_setup
+        data, graphs, engine = pool_setup
         query = sample_queries(data, 1, seed=22, edits=1)[0]
         tau = 2
         result = engine.range_query(query, tau=tau)
-        serial = verify_candidates(data.graphs, query, result.candidates, tau)
+        serial = verify_candidates(graphs, query, result.candidates, tau)
         parallel = verify_candidates(
-            data.graphs, query, result.candidates, tau, workers=2
+            graphs,
+            query,
+            result.candidates,
+            tau,
+            workers=2,
+            disk_handle=engine.disk_handle(),
         )
         assert parallel.matches == serial.matches
         assert parallel.rejected == serial.rejected
@@ -128,47 +129,64 @@ class TestParallelVerification:
         assert parallel.settled_by_bounds == serial.settled_by_bounds
         assert parallel.astar_runs == serial.astar_runs
 
-    def test_workers_used_recorded(self, verify_setup):
-        data, engine = verify_setup
+    def test_workers_used_recorded(self, pool_setup):
+        data, graphs, engine = pool_setup
         query = sample_queries(data, 1, seed=23, edits=1)[0]
         result = engine.range_query(query, tau=2)
         report = verify_candidates(
-            data.graphs, query, result.candidates, 2, workers=2
+            graphs,
+            query,
+            result.candidates,
+            2,
+            workers=2,
+            disk_handle=engine.disk_handle(),
         )
         # Either the pool engaged (≥ 2 scheduled runs) or everything was
         # settled by bounds / a lone A* run stayed serial.
         assert report.workers_used in (1, 2)
 
-    def test_env_var_engages_parallel_path(self, verify_setup, monkeypatch):
-        data, engine = verify_setup
-        monkeypatch.setenv(verify_mod.ENV_VERIFY_WORKERS, "2")
+    def test_env_var_engages_parallel_path(
+        self, pool_setup, saved_engine, monkeypatch
+    ):
+        data, graphs, plain = pool_setup
+        monkeypatch.setenv(ENV_VERIFY_WORKERS, "2")
+        engine = saved_engine(graphs, k=10, h=30)
+        assert engine.config.verify_workers == 2
         query = sample_queries(data, 1, seed=24, edits=1)[0]
-        tau = 2
-        result = engine.range_query(query, tau=tau)
-        report = verify_candidates(data.graphs, query, result.candidates, tau)
-        monkeypatch.delenv(verify_mod.ENV_VERIFY_WORKERS)
-        serial = verify_candidates(data.graphs, query, result.candidates, tau)
+        report = engine.range_query(query, tau=2, verify="exact")
+        serial = plain.range_query(query, tau=2, verify="exact")
         assert report.matches == serial.matches
-        assert report.rejected == serial.rejected
+        assert report.stats.astar_runs == serial.stats.astar_runs
 
-    def test_unpicklable_graphs_fall_back_to_serial(self, verify_setup):
-        data, _ = verify_setup
-        gid, graph = next(iter(data.graphs.items()))
+    def test_unpicklable_query_falls_back_to_serial(self, pool_setup):
+        data, graphs, engine = pool_setup
+        query = sample_queries(data, 4, seed=0, edits=2)[1]
 
         class Unpicklable(Graph):
             def __reduce__(self):
                 raise TypeError("not today")
 
-        bad = Unpicklable(graph.labels(), list(graph.edges()))
-        truth = verify_candidates({gid: graph}, graph.copy(), [gid], 1)
+        bad = Unpicklable(query.labels(), list(query.edges()))
+        candidates = engine.range_query(query, tau=3).candidates
+        truth = verify_candidates(graphs, query, candidates, 3)
+        assert truth.astar_runs > 1  # precondition: a pool would run
         report = verify_candidates(
-            {gid: bad}, graph.copy(), [gid, gid], 1, workers=2
+            graphs,
+            bad,
+            candidates,
+            3,
+            workers=2,
+            disk_handle=engine.disk_handle(),
+            fault_plan="",
         )
         assert report.matches == truth.matches
         assert report.workers_used == 1
+        (event,) = report.degradations
+        assert event.point == "pickle.engine" and not event.injected
+        assert event.fallback == "serial" and "not today" in event.cause
 
-    def test_range_query_exact_with_workers(self, verify_setup):
-        data, engine = verify_setup
+    def test_range_query_exact_with_workers(self, pool_setup):
+        data, _, engine = pool_setup
         query = sample_queries(data, 1, seed=25, edits=1)[0]
         tau = 2
         plain = engine.range_query(query, tau=tau, verify="exact")
