@@ -2,7 +2,9 @@
 
 Paper: even in the worst case the TA stage costs under 0.1 % of the overall
 response time.  Pure Python inflates constant factors, so we assert a loose
-ceiling and report the measured share per k_s.
+ceiling and report the measured share per k_s.  The engine pins
+``topk_backend="ta"`` so the timed stage is Algorithm 2, not the default
+columnar scan.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from repro.graphs.star import decompose
 def test_fig20_ta_overhead(benchmark, aids_dataset, grid, report):
     data = aids_dataset.subset(grid.default_db_size)
     queries = sample_queries(data, grid.query_count, seed=71)
-    engine = SegosIndex(data.graphs, k=grid.default_k, h=grid.default_h)
+    engine = SegosIndex(
+        data.graphs, k=grid.default_k, h=grid.default_h, topk_backend="ta"
+    )
     tau = grid.default_tau
 
     share_series = Series("TA share of total")

@@ -17,9 +17,11 @@ Now the rule is simple and testable:
   engine — applied with :meth:`EngineConfig.override`, which returns a new
   frozen config rather than mutating anything.
 
-The low-level ``env_*`` helpers stay available for the legacy
-``resolve_*`` functions in :mod:`repro.perf` and :mod:`repro.core.verify`,
-which keep their call-time environment fallback for direct, engine-less use.
+The low-level ``env_*`` helpers stay available for the few ``resolve_*``
+functions that keep a call-time environment fallback for direct, engine-less
+use (assignment backend, fsync policy, fault plan, pool policy).  The top-k
+backend and the worker counts have no such fallback: only
+:class:`EngineConfig` reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 ENV_SED_CACHE_SIZE = "REPRO_SED_CACHE_SIZE"
 #: Assignment-problem backend: ``pure`` / ``scipy`` / ``auto``.
 ENV_ASSIGNMENT_BACKEND = "REPRO_ASSIGNMENT_BACKEND"
-#: Top-k sub-unit search backend: ``ta`` / ``scan`` / ``auto``.
+#: Top-k sub-unit search backend: ``ta`` / ``scan``.
 ENV_TOPK_BACKEND = "REPRO_TOPK_BACKEND"
 #: Worker-process count for batch range queries (1 = serial).
 ENV_BATCH_WORKERS = "REPRO_BATCH_WORKERS"
@@ -205,13 +207,13 @@ def _env_assignment_backend() -> Optional[str]:
 
 
 def _env_topk_backend() -> Optional[str]:
-    """Environment default for the top-k backend (None = ``auto``).
+    """Environment default for the top-k backend (None = the default rule).
 
-    Unknown names degrade to ``auto`` so one bad shell export cannot take
-    queries down — the documented legacy behaviour of this knob.
+    Unknown names, the retired ``auto`` among them, degrade to ``None`` so
+    one bad shell export cannot take queries down.
     """
     raw = env_str(ENV_TOPK_BACKEND).strip().lower()
-    return raw if raw in ("ta", "scan", "auto") else None
+    return raw if raw in ("ta", "scan") else None
 
 
 def _env_fsync_policy() -> str:
@@ -270,8 +272,8 @@ class EngineConfig:
         ``pure`` / ``scipy`` / ``auto``; ``None`` means ``auto``.
         Env: ``REPRO_ASSIGNMENT_BACKEND``.
     topk_backend:
-        ``ta`` / ``scan`` / ``auto``; ``None`` means ``auto`` (the adaptive
-        planner).  Env: ``REPRO_TOPK_BACKEND``.
+        ``ta`` / ``scan``; ``None`` runs ``scan`` when numpy is importable
+        and ``ta`` (Algorithm 2) otherwise.  Env: ``REPRO_TOPK_BACKEND``.
     batch_workers:
         Worker processes for batch range queries; 1 = serial.
         Env: ``REPRO_BATCH_WORKERS``.

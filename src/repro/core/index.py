@@ -283,15 +283,6 @@ class LowerLevelIndex:
         postings = self._lists.get(label)
         return list(postings.view()) if postings is not None else []
 
-    def label_postings_count(self, label: str) -> int:
-        """Number of postings under *label* without materialising the view.
-
-        The adaptive top-k planner's selectivity estimate reads this on
-        every search, so it must stay O(1).
-        """
-        postings = self._lists.get(label)
-        return len(postings.data) if postings is not None else 0
-
     def split_label_list(
         self, label: str, leaf_size: int
     ) -> Tuple[List[List[LowerEntry]], List[List[LowerEntry]]]:

@@ -124,6 +124,8 @@ def _parse_header(first_line: str) -> Tuple[Optional[EngineConfig], bool]:
             knobs = dict(header["config"])
             for key in _RETIRED_CONFIG_KEYS:
                 knobs.pop(key, None)
+            if knobs.get("topk_backend") == "auto":  # the retired planner
+                knobs["topk_backend"] = None
             return EngineConfig(**knobs), True
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"invalid v2 #segos header: {exc}", 1) from exc

@@ -239,16 +239,6 @@ class _SqliteLower:
         ]
         return low, high
 
-    def label_postings_count(self, label: str) -> int:
-        """Posting count under *label* (the planner's selectivity probe)."""
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM star_leaves sl "
-            "JOIN stars s ON s.sid = sl.sid "
-            "WHERE sl.label = ? AND s.refcount > 0",
-            (label,),
-        ).fetchone()
-        return count
-
     def stats(self) -> Tuple[int, int]:
         (labels,) = self._conn.execute(
             "SELECT COUNT(DISTINCT sl.label) FROM star_leaves sl "

@@ -20,19 +20,17 @@ The two sides run as two independent TA passes that share one top-k heap.
 Since the columnar mirror (:mod:`repro.perf.columnar`) landed, TA is one of
 *two* interchangeable top-k backends:
 
-* ``ta`` — the round-robin threshold algorithm above: few accesses when k
-  is small relative to the catalog and the query's labels are selective;
+* ``ta`` — the round-robin threshold algorithm above;
 * ``scan`` — one vectorized SED sweep over the whole columnar catalog
-  followed by an ``argpartition``: a constant, tiny per-row cost that wins
-  whenever TA would have to touch a sizeable catalog fraction anyway.
+  followed by an ``argpartition``.
 
 Both return the *k lexicographically smallest* ``(sed, sid)`` pairs — the
 TA pass halts only when the threshold strictly exceeds the k-th best SED,
 so even tie sids are deterministic and the two backends are result-identical.
-:func:`top_k_stars` picks a backend per search: an explicit argument, then
-the ``REPRO_TOPK_BACKEND`` environment variable (``ta`` / ``scan`` /
-``auto``), then the adaptive planner (:func:`plan_topk_backend`), whose
-cost model weighs live-star count, k and label selectivity.
+An explicit ``backend`` argument picks one; without it :func:`top_k_stars`
+runs ``scan`` when numpy is importable and TA otherwise.  ``scan`` itself
+falls back to TA on an index with no generation counter (no columnar
+mirror).  The paper benches pin ``ta`` to measure Algorithm 2.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import ENV_TOPK_BACKEND, env_str
+from ..config import ENV_TOPK_BACKEND  # noqa: F401 - re-exported; EngineConfig reads it
 from ..graphs.star import Star, star_edit_distance
 from ..perf.columnar import columnar_snapshot, numpy_available
 from ..perf.sed_cache import cached_star_edit_distance
@@ -49,18 +47,7 @@ from .index import LowerEntry, TwoLevelIndex
 from .merge import merge_groups
 
 #: Recognised backend names.
-TOPK_BACKENDS = ("ta", "scan", "auto")
-
-# Planner cost-model constants, in units of "one TA sorted access" (a
-# Python-level heap push + scalar Lemma 1, ~5 µs).  Calibrated against the
-# crossover curve of benchmarks/bench_columnar_scan.py: a vectorized row
-# costs ~3 orders of magnitude less than a sorted access, a scan pays about
-# one access-equivalent of numpy dispatch per distinct query label, and TA
-# observably needs ~10 accesses per requested entry per stream before the
-# threshold can halt (its Figure 20 curves flatten near there too).
-SCAN_ROW_COST = 0.002
-SCAN_SETUP_COST = 1.0
-TA_ACCESS_ESTIMATE_PER_K = 10.0
+TOPK_BACKENDS = ("ta", "scan")
 
 
 @dataclass
@@ -128,59 +115,15 @@ class _TopKHeap:
 
 
 def resolve_topk_backend(backend: Optional[str] = None) -> str:
-    """Resolve the backend name from argument / environment / ``auto``.
-
-    An unknown *explicit* name raises (fail fast, mirroring the assignment
-    backend registry); an unknown environment value degrades to ``auto``
-    so one bad shell export cannot take queries down.
-    """
-    if backend is not None:
-        if backend not in TOPK_BACKENDS:
-            raise ValueError(
-                f"unknown top-k backend {backend!r} (expected one of {TOPK_BACKENDS})"
-            )
-        return backend
-    env = env_str(ENV_TOPK_BACKEND).strip().lower()
-    return env if env in TOPK_BACKENDS else "auto"
-
-
-def plan_topk_backend(index: TwoLevelIndex, query: Star, k: int) -> str:
-    """The adaptive planner: pick ``ta`` or ``scan`` for this search.
-
-    Cost model, in units of one TA sorted access:
-
-    * ``scan`` costs a fixed numpy dispatch overhead per distinct query
-      label plus :data:`SCAN_ROW_COST` per live star (every row is scored);
-    * ``ta`` costs at most every posting under the query's labels plus the
-      full size list (it cannot access more), and when k is small it
-      typically halts after roughly :data:`TA_ACCESS_ESTIMATE_PER_K`
-      accesses per requested entry per stream.
-
-    Degenerate cases short-circuit: no numpy or no generation counter means
-    no columnar mirror (``ta``); ``k`` at or beyond the catalog size means
-    TA degenerates to an exhaustive scan with Python-level constants
-    (``scan``).
-    """
-    if not numpy_available():
-        return "ta"
-    if getattr(index, "generation", None) is None:
-        return "ta"
-    n = len(index.catalog)
-    if n == 0:
-        return "ta"
-    if k >= n:
-        return "scan"
-    labels = set(query.leaves)
-    streams = len(labels) + 1  # one merged stream per label + the size list
-    counter = getattr(index.lower, "label_postings_count", None)
-    if counter is not None:
-        postings = sum(counter(label) for label in labels)
-    else:  # pragma: no cover - every in-tree backend exposes the counter
-        postings = sum(len(index.lower.label_list(label)) for label in labels)
-    ta_cap = postings + n  # TA can never perform more sorted accesses
-    ta_est = min(ta_cap, TA_ACCESS_ESTIMATE_PER_K * k * streams)
-    scan_est = SCAN_SETUP_COST * streams + SCAN_ROW_COST * n
-    return "scan" if scan_est <= ta_est else "ta"
+    """The backend a search runs: *backend*, else ``scan`` when numpy is
+    importable and ``ta`` otherwise.  An unknown explicit name raises."""
+    if backend is None:
+        return "scan" if numpy_available() else "ta"
+    if backend not in TOPK_BACKENDS:
+        raise ValueError(
+            f"unknown top-k backend {backend!r} (expected one of {TOPK_BACKENDS})"
+        )
+    return backend
 
 
 def top_k_stars(
@@ -193,19 +136,16 @@ def top_k_stars(
     """Algorithm 2 (or its columnar full-scan equivalent): the k most
     similar database stars to *query*.
 
-    ``backend`` overrides the ``REPRO_TOPK_BACKEND`` environment variable;
-    ``"auto"`` (the default) defers to :func:`plan_topk_backend`.  Both
-    backends return identical entries and ``kth_sed`` floors.
+    ``backend`` is ``ta``, ``scan`` or ``None`` (see
+    :func:`resolve_topk_backend`).  Both backends return identical entries
+    and ``kth_sed`` floors.
 
     Examples are in ``tests/test_ta_search.py`` (including Figure 8's
     worked run).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    choice = resolve_topk_backend(backend)
-    if choice == "auto":
-        choice = plan_topk_backend(index, query, k)
-    if choice == "scan":
+    if resolve_topk_backend(backend) == "scan":
         result = _top_k_scan(index, query, k)
         if result is not None:
             return result

@@ -15,8 +15,9 @@ configurable via environment variables (see the README's performance table):
   (``REPRO_BATCH_WORKERS`` / ``REPRO_VERIFY_WORKERS``);
 * :mod:`repro.perf.columnar` — a generation-coherent columnar snapshot of
   the star catalog with vectorized batch-SED kernels, backing the ``scan``
-  top-k backend (``REPRO_TOPK_BACKEND``) with a pure-Python fallback when
-  numpy is absent;
+  top-k backend.  ``scan`` is the default when numpy is importable and TA
+  otherwise; ``REPRO_TOPK_BACKEND`` pins either, and a pinned ``scan``
+  without numpy runs the pure-Python kernels;
 * :mod:`repro.perf.diskcat` — the zero-copy on-disk index: the ``.segosx``
   mmap sidecar format, lazily-materialising mapped index views, delta
   segments, and the :class:`DiskHandle` that pool workers attach by

@@ -1604,13 +1604,6 @@ class _MappedLower:
             ]
         return list(entries)
 
-    def label_postings_count(self, label: str) -> int:
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.label_postings_count(label)
-        span = self._span(label)
-        return span[1] - span[0] if span else 0
-
     def split_label_list(self, label: str, leaf_size: int):
         inner = self._owner._inner
         if inner is not None:

@@ -174,6 +174,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             EngineConfig.from_env(topk_backend="warp-drive")
 
+    def test_retired_auto_topk_env_degrades_to_default(self, monkeypatch):
+        monkeypatch.setenv(ENV_TOPK_BACKEND, "auto")
+        assert EngineConfig.from_env().topk_backend is None
+
+    def test_retired_auto_topk_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown top-k backend"):
+            EngineConfig.from_env(topk_backend="auto")
+
     def test_knobs_mapping_covers_every_field(self):
         config = EngineConfig.from_env()
         assert set(config.knobs()) == {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -193,6 +195,28 @@ class TestMmapLoad:
             assert loaded.graph(gid).label_multiset() == engine.graph(
                 gid
             ).label_multiset()
+
+
+def test_mmap_attach_not_slower_than_rebuild(tmp_path):
+    """The zero-copy claim as a gate: attaching the sidecar is never slower
+    than rebuilding from text.  No relative slack; a 10 ms absolute floor
+    absorbs scheduler noise.  Best of 3 loads each."""
+    _, engine = build_corpus(n=20)
+    path = tmp_path / "db.segos"
+    save_index(engine, path)
+
+    def best_load_s(mmap):
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            loaded = load_index(path, mmap=mmap)
+            best = min(best, time.perf_counter() - started)
+            assert (loaded.disk_handle() is not None) == mmap
+        return best
+
+    rebuild = best_load_s(False)
+    attach = best_load_s(True)
+    assert attach <= rebuild + 0.010, f"attach {attach:.4f}s > rebuild {rebuild:.4f}s"
 
 
 class TestStalenessFallbacks:
@@ -411,8 +435,10 @@ class TestWorkerTransports:
             list(result.candidates),
             3,
             workers=2,
+            fault_plan="",  # no ambient fault plan: this run must be clean
             disk_handle=handle,
         )
+        assert pooled.degradations == []
         assert pooled.matches == serial.matches
 
     def test_stale_handle_degrades_to_serial_same_answers(self, saved, paper_g1):

@@ -1,4 +1,4 @@
-"""Tests for the columnar star-catalog mirror and the top-k backend planner."""
+"""Tests for the columnar star-catalog mirror and the top-k backend rule."""
 
 from __future__ import annotations
 
@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.index import GraphMeta, TwoLevelIndex
 from repro.core.sqlite_index import SqliteTwoLevelIndex
-from repro.core import ta_search
-from repro.core.ta_search import (
-    ENV_TOPK_BACKEND,
-    brute_force_top_k,
-    plan_topk_backend,
-    resolve_topk_backend,
-    top_k_stars,
-)
+from repro.core.engine import SegosIndex
+from repro.core.ta_search import ENV_TOPK_BACKEND, brute_force_top_k, top_k_stars
 from repro.graphs.generators import corpus
 from repro.graphs.star import Star, decompose, star_edit_distance
 from repro.perf import columnar
@@ -241,62 +235,27 @@ class TestBackendAgreement:
             assert ta.kth_sed == scan.kth_sed
 
 
-class TestBackendResolution:
-    def test_explicit_unknown_raises(self, catalog_setup):
-        index, _ = catalog_setup
-        with pytest.raises(ValueError):
-            top_k_stars(index, Star("a"), 1, backend="simd")
-
-    def test_env_selects_backend(self, catalog_setup, monkeypatch):
-        index, _ = catalog_setup
-        query = Star("a", "bbcc")
-        monkeypatch.setenv(ENV_TOPK_BACKEND, "scan")
-        assert top_k_stars(index, query, 2).backend == "scan"
-        monkeypatch.setenv(ENV_TOPK_BACKEND, "ta")
-        assert top_k_stars(index, query, 2).backend == "ta"
-        monkeypatch.setenv(ENV_TOPK_BACKEND, "garbage")
-        assert resolve_topk_backend() == "auto"
-        monkeypatch.delenv(ENV_TOPK_BACKEND)
-        assert resolve_topk_backend() == "auto"
-
-    def test_explicit_argument_beats_env(self, catalog_setup, monkeypatch):
-        index, _ = catalog_setup
-        monkeypatch.setenv(ENV_TOPK_BACKEND, "scan")
-        assert top_k_stars(index, Star("a", "bbcc"), 2, backend="ta").backend == "ta"
-
-
 class TestPlanner:
+    """The default rule of ``top_k_stars(backend=None)``: ``scan`` when
+    numpy is importable, TA without it or without a generation counter
+    (no columnar mirror).  Every case answers like ``brute_force_top_k``."""
+
+    QUERY = Star("a", "bbcc")
+
+    def default_backend(self, target, index):
+        result = top_k_stars(target, self.QUERY, 3)
+        assert result.entries == brute_force_top_k(index, self.QUERY, 3)
+        return result.backend
+
     def test_k_at_catalog_size_prefers_scan(self, catalog_setup):
         index, _ = catalog_setup
-        n = len(index.catalog)
-        if numpy_available():
-            assert plan_topk_backend(index, Star("a", "bbcc"), n) == "scan"
-
-    def test_row_cost_drives_the_pick(self, catalog_setup, monkeypatch):
-        """The cost model reacts to its inputs: an (artificially) expensive
-        per-row scan pushes a small-k search back to TA, a free one pulls
-        it to scan.  The *constants themselves* are graded against wall
-        time by benchmarks/bench_columnar_scan.py, not here."""
-        index, _ = catalog_setup
-        if not numpy_available():
-            pytest.skip("planner always answers ta without numpy")
-        query = Star("a", "bbcc")
-        monkeypatch.setattr(ta_search, "SCAN_ROW_COST", 1e6)
-        assert plan_topk_backend(index, query, 1) == "ta"
-        monkeypatch.setattr(ta_search, "SCAN_ROW_COST", 0.0)
-        monkeypatch.setattr(ta_search, "SCAN_SETUP_COST", 0.0)
-        assert plan_topk_backend(index, query, 1) == "scan"
-
-    def test_ta_estimate_capped_by_postings(self, catalog_setup, monkeypatch):
-        """TA can never do more sorted accesses than postings + size list,
-        so inflating the per-k estimate must not push the pick past that
-        cap: with a sky-high per-row scan cost TA still wins."""
-        index, _ = catalog_setup
-        if not numpy_available():
-            pytest.skip("planner always answers ta without numpy")
-        monkeypatch.setattr(ta_search, "TA_ACCESS_ESTIMATE_PER_K", 1e9)
-        monkeypatch.setattr(ta_search, "SCAN_ROW_COST", 1e6)
-        assert plan_topk_backend(index, Star("a", "bbcc"), 1) == "ta"
+        expected = "scan" if numpy_available() else "ta"
+        assert self.default_backend(index, index) == expected
+        result = top_k_stars(index, self.QUERY, len(index.catalog))
+        assert result.backend == expected
+        assert result.entries == brute_force_top_k(
+            index, self.QUERY, len(index.catalog)
+        )
 
     def test_no_generation_counter_means_ta(self, catalog_setup):
         index, _ = catalog_setup
@@ -305,24 +264,33 @@ class TestPlanner:
             catalog = index.catalog
             lower = index.lower
 
-        assert plan_topk_backend(Shim(), Star("a", "bbcc"), 100) == "ta"
+        assert self.default_backend(Shim(), index) == "ta"
 
     def test_no_numpy_means_ta(self, catalog_setup, monkeypatch):
         index, _ = catalog_setup
         monkeypatch.setattr(columnar, "_np", None)
-        assert plan_topk_backend(index, Star("a", "bbcc"), 10_000) == "ta"
-        # And top_k_stars under "auto" still answers correctly.
-        result = top_k_stars(index, Star("a", "bbcc"), 3, backend="auto")
-        assert result.backend == "ta"
-        assert [sed for _, sed in result.entries] == [
-            sed for _, sed in brute_force_top_k(index, Star("a", "bbcc"), 3)
-        ]
+        assert self.default_backend(index, index) == "ta"
 
-    def test_auto_dispatch_follows_the_plan(self, catalog_setup):
+
+class TestBackendResolution:
+    def test_explicit_unknown_raises(self, catalog_setup):
         index, _ = catalog_setup
-        if not numpy_available():
-            pytest.skip("planner always answers ta without numpy")
+        with pytest.raises(ValueError):
+            top_k_stars(index, Star("a"), 1, backend="simd")
+
+    def test_env_selects_backend(self, monkeypatch):
+        """The variable is read once, by EngineConfig, never per search."""
+        _, graphs = build_index()
         query = Star("a", "bbcc")
-        for k in (1, len(index.catalog)):
-            expected = plan_topk_backend(index, query, k)
-            assert top_k_stars(index, query, k, backend="auto").backend == expected
+        for name in ("scan", "ta"):
+            monkeypatch.setenv(ENV_TOPK_BACKEND, name)
+            engine = SegosIndex(dict(enumerate(graphs)))
+            assert engine.top_k_sub_units(query, 2).backend == name
+            default = top_k_stars(engine.index, query, 2).backend
+            assert default == ("scan" if numpy_available() else "ta")
+
+    def test_explicit_argument_beats_env(self, monkeypatch):
+        _, graphs = build_index()
+        monkeypatch.setenv(ENV_TOPK_BACKEND, "scan")
+        engine = SegosIndex(dict(enumerate(graphs)), topk_backend="ta")
+        assert engine.top_k_sub_units(Star("a", "bbcc"), 2).backend == "ta"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import SegosIndex
+from repro.datasets import aids_like, sample_queries
 from repro.graphs.star import Star, star_edit_distance
 from repro.perf.sed_cache import (
     GLOBAL_SED_CACHE,
@@ -120,3 +122,24 @@ class TestSEDCacheProperties:
 
 def test_global_cache_bounded():
     assert GLOBAL_SED_CACHE.info().currsize <= max(GLOBAL_SED_CACHE.maxsize, 0)
+
+
+def test_range_answers_identical_with_cache_disabled():
+    """The memo changes no query answer: a repeated workload (cold misses,
+    then warm hits) gives the same candidates with the cache off."""
+    data = aids_like(30, seed=2012, mean_order=8, stddev=2)
+    workload = sample_queries(data, 3, seed=2013) * 2
+    before = GLOBAL_SED_CACHE.maxsize
+
+    def candidates(size):
+        engine = SegosIndex(data.graphs, k=15, h=50, sed_cache_size=size)
+        GLOBAL_SED_CACHE.clear()
+        return [set(engine.range_query(q, tau=2).candidates) for q in workload]
+
+    try:
+        uncached = candidates(0)
+        cached = candidates(before or 1024)
+        assert sed_cache_info().hits > 0
+    finally:
+        GLOBAL_SED_CACHE.resize(before)
+    assert cached == uncached

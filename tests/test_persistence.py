@@ -160,6 +160,20 @@ class TestHeaderHandling:
         assert "shard" not in resaved.read_text().splitlines()[0]
         assert load_index(resaved).config == loaded.config
 
+    def test_retired_auto_topk_backend_loads_as_default(self, tmp_path):
+        """Headers saved while the top-k planner existed may say ``auto``."""
+        path = tmp_path / "old.segos"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(
+                RETIRED_KNOBS_HEADER.replace(
+                    '"topk_backend": null', '"topk_backend": "auto"'
+                )
+            )
+            gio.write_graphs(fh, list(RETIRED_KNOBS_GRAPHS.items()))
+        loaded = load_index(path)
+        assert loaded.config.topk_backend is None
+        assert set(loaded.gids()) == set(RETIRED_KNOBS_GRAPHS)
+
     def test_unknown_v2_config_key_rejected(self, tmp_path):
         path = tmp_path / "bogus.segos"
         path.write_text(

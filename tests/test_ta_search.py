@@ -115,7 +115,7 @@ class TestAccessAccounting:
         for query in decompose(items[0][1])[:3]:
             result = top_k_stars(index, query, 5, backend="ta")
             postings = sum(
-                index.lower.label_postings_count(label) for label in set(query.leaves)
+                len(index.lower.label_list(label)) for label in set(query.leaves)
             )
             # Both TA sides together can at most drain every postings entry
             # under the query's labels plus the full size list twice (once
