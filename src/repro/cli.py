@@ -27,7 +27,12 @@ from .core.engine import SegosIndex
 from .core.explain import explain_range_query
 from .core.join import similarity_self_join
 from .core.knn import knn_query
-from .core.persistence import load_index, save_index, sidecar_path_for
+from .core.persistence import (
+    database_config,
+    load_index,
+    save_index,
+    sidecar_path_for,
+)
 from .datasets import aids_like, pdg_like
 from .errors import ReproError
 from .graphs import io as gio
@@ -189,15 +194,23 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sidecar_arg(args: argparse.Namespace) -> str:
+    """The sidecar ``index inspect``/``scrub`` open: ``--index``, a
+    ``.segosx`` path given directly, or the one ``load_index`` would attach
+    (the header's ``index_path``, else ``<db>.segosx``)."""
+    if args.index:
+        return args.index
+    if args.database.endswith(".segosx"):
+        return args.database
+    return sidecar_path_for(args.database, database_config(args.database))
+
+
 def _cmd_index_inspect(args: argparse.Namespace) -> int:
     import os
 
     from .perf import diskcat
 
-    sidecar = args.index or (
-        args.database + ".segosx" if not args.database.endswith(".segosx")
-        else args.database
-    )
+    sidecar = _sidecar_arg(args)
     database = args.database if sidecar != args.database else None
     disk = diskcat.DiskCatalog(sidecar)
     try:
@@ -246,10 +259,7 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
 def _cmd_index_scrub(args: argparse.Namespace) -> int:
     from .perf import diskcat
 
-    sidecar = args.index or (
-        args.database + ".segosx" if not args.database.endswith(".segosx")
-        else args.database
-    )
+    sidecar = _sidecar_arg(args)
     report = diskcat.scrub_sidecar(sidecar, repair=args.repair)
     print(f"sidecar:  {report.path}")
     if report.clean:
@@ -376,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         "database", help=".segos database file (or the .segosx itself)"
     )
     index_inspect.add_argument(
-        "--index", help="explicit sidecar path (default <database>.segosx)"
+        "--index",
+        help="explicit sidecar path (default: the database header's "
+        "index_path, else <database>.segosx)",
     )
     index_inspect.add_argument(
         "--verify",
@@ -393,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         "database", help=".segos database file (or the .segosx sidecar itself)"
     )
     index_scrub.add_argument(
-        "--index", help="explicit sidecar path (default <database>.segosx)"
+        "--index",
+        help="explicit sidecar path (default: the database header's "
+        "index_path, else <database>.segosx)",
     )
     index_scrub.add_argument(
         "--repair",

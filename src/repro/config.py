@@ -35,8 +35,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 # these for backwards compatibility).
 # ---------------------------------------------------------------------------
 
-#: Capacity of the process-global SED memo cache (0 disables it).
-ENV_SED_CACHE_SIZE = "REPRO_SED_CACHE_SIZE"
 #: Assignment-problem backend: ``pure`` / ``scipy`` / ``auto``.
 ENV_ASSIGNMENT_BACKEND = "REPRO_ASSIGNMENT_BACKEND"
 #: Top-k sub-unit search backend: ``ta`` / ``scan``.
@@ -65,8 +63,6 @@ ENV_TRACE_PATH = "REPRO_TRACE_PATH"
 ENV_METRICS = "REPRO_METRICS"
 #: Override for the on-disk index sidecar path (default: ``<db>.segosx``).
 ENV_INDEX_PATH = "REPRO_INDEX_PATH"
-#: Memory-map a fresh ``.segosx`` sidecar on load / write one on save.
-ENV_MMAP = "REPRO_MMAP"
 #: Delta-journal compaction threshold as a fraction of base graph count.
 ENV_DELTA_COMPACT = "REPRO_DELTA_COMPACT"
 #: Comma-separated filter-tier chain (ordered subset of the full chain).
@@ -74,8 +70,6 @@ ENV_FILTER_TIERS = "REPRO_FILTER_TIERS"
 #: Durability discipline for persistence writes: ``always``/``batch``/``never``.
 ENV_FSYNC = "REPRO_FSYNC"
 
-#: Default SED-cache capacity (mirrored by ``repro.perf.sed_cache``).
-DEFAULT_SED_CACHE_SIZE = 1 << 18
 #: Default per-candidate A* state budget (the A* module's own default).
 DEFAULT_VERIFY_BUDGET = 2_000_000
 #: Default TA top-k (Table II) and CA checkpoint period (paper defaults).
@@ -265,9 +259,6 @@ class EngineConfig:
         Share of a graph's stars that must be revealed before the
         Theorem-1 partial check runs (Section V-E's 50 % rule); values
         above 1 postpone the check until the graph is force-resolved.
-    sed_cache_size:
-        Capacity of the process-global SED memo cache; 0 disables it.
-        Env: ``REPRO_SED_CACHE_SIZE``.
     assignment_backend:
         ``pure`` / ``scipy`` / ``auto``; ``None`` means ``auto``.
         Env: ``REPRO_ASSIGNMENT_BACKEND``.
@@ -319,11 +310,6 @@ class EngineConfig:
         Explicit path for the on-disk ``.segosx`` index sidecar; ``None``
         derives it from the graph file (``<db>.segosx``).
         Env: ``REPRO_INDEX_PATH``.
-    mmap:
-        Memory-map a fresh sidecar on :func:`repro.core.persistence.load_index`
-        (zero-copy cold start) and write/refresh one on ``save_index``.
-        Off ⇒ always rebuild from the transaction text and never write a
-        sidecar.  Env: ``REPRO_MMAP``.
     fsync_policy:
         Durability discipline for every persistence write (text replace,
         sidecar write, delta append): ``always`` fsyncs at each barrier
@@ -355,7 +341,6 @@ class EngineConfig:
     k: int = DEFAULT_K
     h: int = DEFAULT_H
     partial_fraction: float = DEFAULT_PARTIAL_FRACTION
-    sed_cache_size: int = DEFAULT_SED_CACHE_SIZE
     assignment_backend: Optional[str] = None
     topk_backend: Optional[str] = None
     batch_workers: int = 1
@@ -370,7 +355,6 @@ class EngineConfig:
     trace_path: Optional[str] = None
     metrics: bool = False
     index_path: Optional[str] = None
-    mmap: bool = True
     fsync_policy: str = DEFAULT_FSYNC_POLICY
     delta_compact: float = DEFAULT_DELTA_COMPACT
     filter_tiers: Tuple[str, ...] = DEFAULT_FILTER_TIERS
@@ -387,8 +371,6 @@ class EngineConfig:
             raise ValueError("h must be >= 1")
         if self.partial_fraction < 0.0:
             raise ValueError("partial_fraction must be non-negative")
-        if self.sed_cache_size < 0:
-            raise ValueError("sed_cache_size must be >= 0")
         if self.batch_workers < 1:
             raise ValueError("batch_workers must be >= 1")
         if self.verify_workers < 1:
@@ -441,7 +423,6 @@ class EngineConfig:
             "k": DEFAULT_K,
             "h": DEFAULT_H,
             "partial_fraction": DEFAULT_PARTIAL_FRACTION,
-            "sed_cache_size": env_int(ENV_SED_CACHE_SIZE, DEFAULT_SED_CACHE_SIZE),
             "assignment_backend": _env_assignment_backend(),
             "topk_backend": _env_topk_backend(),
             "batch_workers": env_int(ENV_BATCH_WORKERS, 1),
@@ -458,7 +439,6 @@ class EngineConfig:
             "trace_path": env_raw(ENV_TRACE_PATH) or None,
             "metrics": env_bool(ENV_METRICS, False),
             "index_path": env_raw(ENV_INDEX_PATH) or None,
-            "mmap": env_bool(ENV_MMAP, True),
             "fsync_policy": _env_fsync_policy(),
             "delta_compact": env_float(ENV_DELTA_COMPACT, DEFAULT_DELTA_COMPACT),
             "filter_tiers": _env_filter_tiers() or DEFAULT_FILTER_TIERS,
@@ -494,7 +474,6 @@ class EngineConfig:
 
 #: Field name → environment variable for every env-backed knob.
 ENV_KNOBS: Tuple[Tuple[str, str], ...] = (
-    ("sed_cache_size", ENV_SED_CACHE_SIZE),
     ("assignment_backend", ENV_ASSIGNMENT_BACKEND),
     ("topk_backend", ENV_TOPK_BACKEND),
     ("batch_workers", ENV_BATCH_WORKERS),
@@ -509,7 +488,6 @@ ENV_KNOBS: Tuple[Tuple[str, str], ...] = (
     ("trace_path", ENV_TRACE_PATH),
     ("metrics", ENV_METRICS),
     ("index_path", ENV_INDEX_PATH),
-    ("mmap", ENV_MMAP),
     ("fsync_policy", ENV_FSYNC),
     ("delta_compact", ENV_DELTA_COMPACT),
     ("filter_tiers", ENV_FILTER_TIERS),

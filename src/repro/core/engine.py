@@ -34,7 +34,6 @@ from ..graphs.star import Star, decompose, star_at
 from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
 from ..obs.trace import Trace
 from ..perf.parallel import chunk_evenly, effective_workers, fan_out
-from ..perf.sed_cache import GLOBAL_SED_CACHE, CacheInfo
 from ..resilience.faults import FaultPlan
 from ..resilience.pool import ResiliencePolicy
 from .index import GraphMeta, TwoLevelIndex
@@ -83,7 +82,6 @@ class SegosIndex:
         verify_workers: Optional[int] = None,
         verify_budget: Optional[int] = None,
         verify_deadline: Optional[float] = None,
-        sed_cache_size: Optional[int] = None,
         task_timeout: Optional[float] = None,
         max_pool_retries: Optional[int] = None,
         retry_backoff: Optional[float] = None,
@@ -92,7 +90,6 @@ class SegosIndex:
         trace_path: Optional[str] = None,
         metrics: Optional[bool] = None,
         index_path: Optional[str] = None,
-        mmap: Optional[bool] = None,
         fsync_policy: Optional[str] = None,
         delta_compact: Optional[float] = None,
         filter_tiers: Optional[object] = None,
@@ -109,7 +106,6 @@ class SegosIndex:
             verify_workers=verify_workers,
             verify_budget=verify_budget,
             verify_deadline=verify_deadline,
-            sed_cache_size=sed_cache_size,
             task_timeout=task_timeout,
             max_pool_retries=max_pool_retries,
             retry_backoff=retry_backoff,
@@ -118,17 +114,10 @@ class SegosIndex:
             trace_path=trace_path,
             metrics=metrics,
             index_path=index_path,
-            mmap=mmap,
             fsync_policy=fsync_policy,
             delta_compact=delta_compact,
             filter_tiers=filter_tiers,
         )
-        # The SED memo cache is process-global (it memoises a pure function
-        # of signature pairs); an engine only touches it when its resolved
-        # capacity differs from the live one — i.e. when the knob was set
-        # explicitly or the environment changed since process start.
-        if self.config.sed_cache_size != GLOBAL_SED_CACHE.maxsize:
-            GLOBAL_SED_CACHE.resize(self.config.sed_cache_size)
         if backend == "memory":
             self.index = TwoLevelIndex()
         elif backend == "sqlite":
@@ -581,20 +570,6 @@ class SegosIndex:
     def index_size(self) -> int:
         """Total postings across both index levels (Figure 13's metric)."""
         return self.index.size_estimate()
-
-    def sed_cache_info(self) -> CacheInfo:
-        """Hit/miss counters of the process-global SED memo cache.
-
-        The cache is shared by every engine in the process (it memoises a
-        pure function of signature pairs), so these are process totals;
-        per-query deltas live in :attr:`QueryStats.sed_cache_hits` /
-        ``sed_cache_misses``.
-        """
-        return GLOBAL_SED_CACHE.info()
-
-    def sed_cache_clear(self) -> None:
-        """Empty the process-global SED memo cache and reset its counters."""
-        GLOBAL_SED_CACHE.clear()
 
     def distinct_star_count(self) -> int:
         """Number of distinct sub-units currently indexed."""

@@ -106,13 +106,6 @@ class QueryExplanation:
             f"{self.stats.filtered_unseen} unseen graphs cleared by ω, "
             f"{self.stats.linear_fallback} via linear fallback"
         )
-        sed_total = self.stats.sed_cache_hits + self.stats.sed_cache_misses
-        if sed_total:
-            lines.append(
-                f"filter stage: {sed_total} SED lookups, "
-                f"{self.stats.sed_cache_hits} served by the memo cache "
-                f"({self.stats.sed_cache_hit_rate:.0%} hit rate)"
-            )
         lines.append("DC stage: " + self.stats.summary())
         for event in self.stats.degradations:
             lines.append(f"resilience: {event.summary()}")

@@ -45,7 +45,7 @@ import os
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..config import ENV_MMAP, EngineConfig, env_bool
+from ..config import EngineConfig
 from ..errors import ParseError, SidecarError, StaleSidecarError
 from ..graphs import io as gio
 from ..perf import diskcat
@@ -65,11 +65,16 @@ _HEADER_PREFIX = "#segos "
 #: Current text-header version.  v1 recorded only k/h/partial_fraction;
 #: v2 records the full resolved EngineConfig.  Both load.
 _FORMAT_VERSION = 2
-#: Config keys that v2 headers written before catalog sharding was removed
-#: still carry.  They are dropped on load; any other unknown key is an error.
-_RETIRED_CONFIG_KEYS = ("shards", "shard_by", "shard_pivots")
+#: Config keys of retired knobs that older v2 headers still carry: catalog
+#: sharding's three, the SED memo's capacity and the ``mmap`` switch.  They
+#: are dropped on load; any other unknown key is an error.
+_RETIRED_CONFIG_KEYS = (
+    "shards", "shard_by", "shard_pivots", "sed_cache_size", "mmap",
+)
 
-__all__ = ["DiskHandle", "load_index", "save_index", "sidecar_path_for"]
+__all__ = [
+    "DiskHandle", "database_config", "load_index", "save_index", "sidecar_path_for",
+]
 
 
 def sidecar_path_for(path: PathLike, config: EngineConfig, override: Optional[PathLike] = None) -> str:
@@ -79,13 +84,6 @@ def sidecar_path_for(path: PathLike, config: EngineConfig, override: Optional[Pa
     if config.index_path:
         return config.index_path
     return default_sidecar_path(path)
-
-
-def _use_mmap(config: EngineConfig, mmap: Optional[bool]) -> bool:
-    """Resolve the mmap decision: call arg > environment > config knob."""
-    if mmap is not None:
-        return mmap
-    return env_bool(ENV_MMAP, config.mmap)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +130,14 @@ def _parse_header(first_line: str) -> Tuple[Optional[EngineConfig], bool]:
     raise ParseError(f"unsupported segos file version {version!r}", 1)
 
 
+def database_config(path: PathLike) -> EngineConfig:
+    """The config :func:`load_index` would open *path* with: its header's,
+    or the environment defaults for a plain graph file."""
+    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+        config, _ = _parse_header(handle.readline())
+    return config if config is not None else EngineConfig.from_env()
+
+
 def _header_line(engine: SegosIndex) -> str:
     header = {
         "version": _FORMAT_VERSION,
@@ -148,19 +154,20 @@ def _header_line(engine: SegosIndex) -> str:
 def load_index(
     path: PathLike,
     *,
-    mmap: Optional[bool] = None,
+    mmap: bool = True,
     index_path: Optional[PathLike] = None,
 ) -> SegosIndex:
     """Open a database written by :func:`save_index` (or a plain graph file).
 
-    When ``mmap`` resolves on (call arg > ``REPRO_MMAP`` > the persisted
-    config's knob) and a fresh sidecar sits next to the file, the index is
+    When a fresh sidecar sits at the resolved sidecar path, the index is
     memory-mapped instead of rebuilt: graphs parse lazily on first access,
     the columnar kernels run directly over the mapped pages, and the
     returned engine carries the :class:`~repro.perf.diskcat.DiskHandle`
     that pool workers attach it by.  Any sidecar
     problem — absent, stale, corrupt, truncated — falls back to the
     streaming rebuild; the two paths return byte-identical engines.
+    ``mmap=False`` skips the sidecar and rebuilds from the text — the
+    reference the mapped path is checked against.
     """
     path_str = os.fspath(path)
     with open(path_str, "r", encoding="utf-8") as handle:
@@ -170,7 +177,7 @@ def load_index(
             config = EngineConfig.from_env()
 
         sidecar = sidecar_path_for(path_str, config, index_path)
-        if _use_mmap(config, mmap) and os.path.exists(sidecar):
+        if mmap and os.path.exists(sidecar):
             engine = _try_mmap_load(path_str, sidecar, config)
             if engine is not None:
                 return engine
@@ -370,7 +377,6 @@ def save_index(
     engine: SegosIndex,
     path: PathLike,
     *,
-    mmap: Optional[bool] = None,
     index_path: Optional[PathLike] = None,
 ) -> None:
     """Write *engine*'s database (text) and index sidecar to *path*.
@@ -380,12 +386,11 @@ def save_index(
     per-graph changes since the last sync) when the engine was loaded
     from / last saved to the same pair of files, and compacted back to a
     full rewrite once the accumulated delta ops exceed ``delta_compact`` ×
-    base graph count.  ``mmap`` resolved off skips the sidecar entirely.
+    base graph count.
     """
     path_str = os.fspath(path)
     config = engine.config
     sidecar = sidecar_path_for(path_str, config, index_path)
-    want_sidecar = _use_mmap(config, mmap)
 
     str_gids = all(isinstance(gid, str) for gid in engine.gids())
     net_ops = _plan_delta(engine, path_str, sidecar) if str_gids else None
@@ -396,7 +401,7 @@ def save_index(
         return
 
     delta = None
-    if want_sidecar and net_ops is not None:
+    if net_ops is not None:
         prev = engine._disk_source
         total = prev.delta_ops + len(net_ops)
         if total <= config.delta_compact * max(1, prev.base_graphs):
@@ -427,10 +432,6 @@ def save_index(
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-    if not want_sidecar:
-        engine._sync_disk_source(None)
-        return
 
     if delta is not None:
         prev, ops, total = delta

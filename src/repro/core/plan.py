@@ -13,8 +13,8 @@ snapshots.  This module makes the dataflow explicit:
   :mod:`repro.core.pipeline`);
 * a :class:`QueryPlan` is an ordered tuple of stages;
 * :func:`execute_plan` runs a plan over an :class:`ExecutionContext`,
-  capturing per-stage wall clock into ``QueryStats.stage_seconds`` and the
-  SED-cache delta automatically — no stage does its own timing;
+  capturing per-stage wall clock into ``QueryStats.stage_seconds``
+  automatically — no stage does its own timing;
 * a :class:`QuerySession` owns the state *shared across related queries*
   (the top-k sub-unit cache plus a resolved :class:`EngineConfig`) and is
   the public API batches, joins and kNN rings build on.
@@ -45,7 +45,6 @@ from ..graphs.model import Graph
 from ..graphs.star import Star, decompose
 from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
 from ..obs.trace import NULL_TRACER, Trace, Tracer, activate, current_tracer
-from ..perf.sed_cache import GLOBAL_SED_CACHE, publish_cache_metrics
 from ..resilience.pool import ResiliencePolicy
 from .ca_search import ca_range_query
 from .graph_lists import QueryStarLists, build_all_lists
@@ -472,9 +471,8 @@ def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> ExecutionContext:
     """Run *plan*'s stages in order over *ctx* — the one executor.
 
     Uniform bookkeeping lives here and nowhere else: per-stage wall clock
-    (``stats.stage_seconds``), total elapsed time, the process-global
-    SED-cache hit/miss delta attributable to this execution — and, on
-    traced runs, the ``query`` → stage span tree plus the JSONL export to
+    (``stats.stage_seconds``), total elapsed time — and, on traced runs,
+    the ``query`` → stage span tree plus the JSONL export to
     ``config.trace_path`` (owned tracers only, so shared ambient traces
     are not exported piecemeal by every nested query).  Metrics recording
     happens *after* the stats stop changing, so traced and untraced runs
@@ -482,7 +480,6 @@ def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> ExecutionContext:
     """
     tracer = ctx.tracer
     clock = WallClock.start()
-    cache_before = GLOBAL_SED_CACHE.info()
     with tracer.span(
         "query", plan=plan.description, tau=ctx.tau, verify=ctx.verify
     ):
@@ -494,9 +491,6 @@ def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> ExecutionContext:
             ctx.stats.stage_seconds[stage.name] = (
                 ctx.stats.stage_seconds.get(stage.name, 0.0) + seconds
             )
-    cache_after = GLOBAL_SED_CACHE.info()
-    ctx.stats.sed_cache_hits = cache_after.hits - cache_before.hits
-    ctx.stats.sed_cache_misses = cache_after.misses - cache_before.misses
     ctx.elapsed = clock.elapsed()
     if tracer.enabled:
         ctx.trace = tracer.to_trace()
@@ -508,7 +502,6 @@ def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> ExecutionContext:
         record_query_metrics(
             GLOBAL_METRICS, ctx.stats, ctx.elapsed, mode=ctx.mode
         )
-        publish_cache_metrics(GLOBAL_METRICS)
     return ctx
 
 

@@ -66,10 +66,6 @@ class QueryStats:
     filtered_unseen: int = 0
     #: graphs processed by the linear fallback (lists exhausted, no halt)
     linear_fallback: int = 0
-    #: SED memo-cache hits attributable to this query (filter stage)
-    sed_cache_hits: int = 0
-    #: SED memo-cache misses attributable to this query (actual Lemma 1 runs)
-    sed_cache_misses: int = 0
     #: top-k backend → number of searches it answered (``ta`` / ``scan``)
     topk_backends: Dict[str, int] = field(default_factory=dict)
     #: rows scored by vectorized full scans (the scan-side twin of
@@ -98,12 +94,6 @@ class QueryStats:
     #: fallback recorded while answering this query (see
     #: :mod:`repro.resilience`); silent degradation is a bug
     degradations: List[DegradationEvent] = field(default_factory=list)
-
-    @property
-    def sed_cache_hit_rate(self) -> float:
-        """Share of this query's SED lookups served from the memo cache."""
-        total = self.sed_cache_hits + self.sed_cache_misses
-        return self.sed_cache_hits / total if total else 0.0
 
     def count_prune(self, bound: str) -> None:
         self.pruned_by[bound] = self.pruned_by.get(bound, 0) + 1
@@ -140,12 +130,6 @@ class QueryStats:
         ]
         if self.linear_fallback:
             parts.append(f"linear fallback: {self.linear_fallback}")
-        if self.sed_cache_hits or self.sed_cache_misses:
-            parts.append(
-                f"SED cache: {self.sed_cache_hits}/"
-                f"{self.sed_cache_hits + self.sed_cache_misses} hits "
-                f"({self.sed_cache_hit_rate:.0%})"
-            )
         if self.topk_backends:
             chosen = " ".join(
                 f"{name}={count}" for name, count in sorted(self.topk_backends.items())
@@ -192,8 +176,6 @@ class QueryStats:
         self.confirmed_matches += other.confirmed_matches
         self.filtered_unseen += other.filtered_unseen
         self.linear_fallback += other.linear_fallback
-        self.sed_cache_hits += other.sed_cache_hits
-        self.sed_cache_misses += other.sed_cache_misses
         self.topk_scan_width += other.topk_scan_width
         self.settled_by_bounds += other.settled_by_bounds
         self.astar_runs += other.astar_runs

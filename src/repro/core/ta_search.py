@@ -42,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..config import ENV_TOPK_BACKEND  # noqa: F401 - re-exported; EngineConfig reads it
 from ..graphs.star import Star, star_edit_distance
 from ..perf.columnar import columnar_snapshot, numpy_available
-from ..perf.sed_cache import cached_star_edit_distance
 from .index import LowerEntry, TwoLevelIndex
 from .merge import merge_groups
 
@@ -212,12 +211,10 @@ def _top_k_ta(index: TwoLevelIndex, query: Star, k: int) -> TopKResult:
                 last_freq[j] = float(entry.freq)
                 if entry.sid not in seen:
                     seen.add(entry.sid)
-                    # Equation (1)'s exact-SED evaluation of a seen star; the
-                    # memo cache absorbs the massive signature repetition
-                    # across queries sharing vocabulary.
+                    # Equation (1)'s exact-SED evaluation of a seen star.
                     heap.offer(
                         entry.sid,
-                        cached_star_edit_distance(query, catalog.star(entry.sid)),
+                        star_edit_distance(query, catalog.star(entry.sid)),
                     )
             if not size_exhausted:
                 entry = next(size_iter, None)
@@ -231,7 +228,7 @@ def _top_k_ta(index: TwoLevelIndex, query: Star, k: int) -> TopKResult:
                         seen.add(entry.sid)
                         heap.offer(
                             entry.sid,
-                            cached_star_edit_distance(query, catalog.star(entry.sid)),
+                            star_edit_distance(query, catalog.star(entry.sid)),
                         )
             if size_exhausted:
                 # Every star on this side lives in the size list, so an

@@ -59,8 +59,8 @@ class Star:
 
         The separator characters keep multi-character labels unambiguous
         (``("ab", "c")`` and ``("a", "bc")`` must not collide).  Precomputed
-        at construction: the SED memo cache keys on signature pairs, so this
-        sits on the filter stage's hottest path.
+        at construction: the top-k cache and the index levels key on it, so
+        this sits on the filter stage's hottest path.
         """
         return self._signature
 

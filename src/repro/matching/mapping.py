@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.model import Graph, normalization_factor
-from ..graphs.star import Star, decompose_map, epsilon_distance
+from ..graphs.star import Star, decompose_map, epsilon_distance, star_edit_distance
 from ..perf.assignment import solve_assignment
-from ..perf.sed_cache import cached_star_edit_distance
 from .hungarian import HungarianSolver
 
 
@@ -32,9 +31,7 @@ def star_cost_matrix(stars1: Sequence[Star], stars2: Sequence[Star]) -> List[Lis
 
     Rows follow ``stars1``, columns ``stars2``; whichever side is smaller is
     padded with ε entries costing ``λ(s, ε) = 1 + 2·|L|`` against real stars
-    and 0 against each other.  Real-vs-real cells go through the global SED
-    memo cache: identical signature pairs recur massively across a database,
-    so most cells are lookups rather than Lemma 1 recomputations.
+    and 0 against each other.  Real-vs-real cells cost Θ(|L|) each (Lemma 1).
     """
     n1, n2 = len(stars1), len(stars2)
     size = max(n1, n2)
@@ -43,7 +40,7 @@ def star_cost_matrix(stars1: Sequence[Star], stars2: Sequence[Star]) -> List[Lis
         row: List[float] = []
         for j in range(size):
             if i < n1 and j < n2:
-                row.append(float(cached_star_edit_distance(stars1[i], stars2[j])))
+                row.append(float(star_edit_distance(stars1[i], stars2[j])))
             elif i < n1:  # real star vs ε column
                 row.append(float(epsilon_distance(stars1[i])))
             elif j < n2:  # ε row vs real star
@@ -207,7 +204,7 @@ def partial_mapping_distance(
             if j >= len(seen_stars):  # unseen column: sound floor of 0
                 row.append(0.0)
             elif i < len(rows):
-                row.append(float(cached_star_edit_distance(rows[i], seen_stars[j])))
+                row.append(float(star_edit_distance(rows[i], seen_stars[j])))
             else:  # ε row vs revealed star
                 row.append(float(epsilon_distance(seen_stars[j])))
         matrix.append(row)
@@ -266,7 +263,7 @@ class DynamicMappingDistance:
                     costs.append(float(epsilon_distance(self.query_stars[i])))
                 else:
                     costs.append(
-                        float(cached_star_edit_distance(self.query_stars[i], star))
+                        float(star_edit_distance(self.query_stars[i], star))
                     )
             else:  # ε row
                 costs.append(0.0 if star is None else float(epsilon_distance(star)))

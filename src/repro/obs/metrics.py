@@ -233,14 +233,6 @@ def record_query_metrics(
         "repro_query_seconds", "end-to-end query latency", mode=mode
     ).observe(elapsed)
 
-    # SED-cache hit rate: expose the two raw counters; rate is a PromQL join.
-    registry.counter(
-        "repro_sed_cache_lookups_total", "SED memo-cache lookups", result="hit"
-    ).inc(stats.sed_cache_hits)
-    registry.counter(
-        "repro_sed_cache_lookups_total", "SED memo-cache lookups", result="miss"
-    ).inc(stats.sed_cache_misses)
-
     # TA stage: search fan-out and depth (sorted accesses per query).
     registry.counter(
         "repro_ta_searches_total", "top-k sub-unit searches executed"

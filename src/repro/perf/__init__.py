@@ -1,11 +1,9 @@
-"""Performance subsystem: SED memoization, assignment backends, parallelism,
-and the columnar star-catalog mirror.
+"""Performance subsystem: assignment backends, parallelism, the columnar
+star-catalog mirror and the on-disk index.
 
 Independent accelerators for the filtering hot path, each opt-out /
 configurable via environment variables (see the README's performance table):
 
-* :mod:`repro.perf.sed_cache` — process-global memo cache for the star edit
-  distance, keyed on canonical signature pairs (``REPRO_SED_CACHE_SIZE``);
 * :mod:`repro.perf.assignment` — pluggable assignment-problem backends
   (pure Hungarian vs SciPy) behind :func:`solve_assignment`
   (``REPRO_ASSIGNMENT_BACKEND``);
@@ -21,7 +19,7 @@ configurable via environment variables (see the README's performance table):
 * :mod:`repro.perf.diskcat` — the zero-copy on-disk index: the ``.segosx``
   mmap sidecar format, lazily-materialising mapped index views, delta
   segments, and the :class:`DiskHandle` that pool workers attach by
-  (``REPRO_MMAP`` / ``REPRO_INDEX_PATH`` / ``REPRO_DELTA_COMPACT``).
+  (``REPRO_INDEX_PATH`` / ``REPRO_DELTA_COMPACT``).
 """
 
 from .assignment import (
@@ -40,28 +38,14 @@ from .diskcat import (
     default_sidecar_path,
 )
 from .parallel import chunk_evenly, effective_workers
-from .sed_cache import (
-    DEFAULT_CAPACITY,
-    GLOBAL_SED_CACHE,
-    CacheInfo,
-    SEDCache,
-    cached_star_edit_distance,
-    sed_cache_clear,
-    sed_cache_info,
-)
 
 __all__ = [
-    "CacheInfo",
     "ColumnarCatalog",
-    "DEFAULT_CAPACITY",
     "DiskCatalog",
     "DiskHandle",
-    "GLOBAL_SED_CACHE",
     "LazyGraphStore",
     "MappedTwoLevelIndex",
-    "SEDCache",
     "available_backends",
-    "cached_star_edit_distance",
     "chunk_evenly",
     "columnar_snapshot",
     "default_sidecar_path",
@@ -70,7 +54,5 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "scipy_available",
-    "sed_cache_clear",
-    "sed_cache_info",
     "solve_assignment",
 ]

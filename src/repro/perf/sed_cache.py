@@ -1,186 +1,39 @@
-"""Global memoization of the star edit distance (the SED memo cache).
+"""Zero-valued remnants of the retired SED memo cache.
 
-SEGOS's filtering pipeline bottoms out in :func:`repro.graphs.star.
-star_edit_distance` calls: the TA top-k sub-unit search scores every star it
-touches, ``star_cost_matrix`` fills O(n²) cells per graph pair, and every
-:meth:`DynamicMappingDistance.reveal` prices a full column.  The upper-level
-index exists precisely because star signatures repeat massively across a
-database — which means most of those SED evaluations are recomputations of
-*identical signature pairs*.
-
-:class:`SEDCache` exploits that: a bounded memo table mapping canonical
-signature pairs to their SED, evicting oldest entries first when full.
-Because a :class:`Star` is fully determined by its signature and the SED is
-symmetric, the key ``(min(sig1, sig2), max(sig1, sig2))`` is exact — a hit
-returns precisely what Lemma 1 would recompute.  A hit must cost less than
-the Counter arithmetic it replaces, so the lookup path takes no lock:
-single dict operations on string-tuple keys are atomic under CPython's GIL,
-and only mutation (inserts, eviction, clear, resize) is serialised.
-
-The module exposes one process-global cache (:data:`GLOBAL_SED_CACHE`) plus
-``functools.lru_cache``-style introspection (:func:`sed_cache_info`,
-:func:`sed_cache_clear`).  Capacity comes from the ``REPRO_SED_CACHE_SIZE``
-environment variable (``0`` disables caching entirely); the engine snapshots
-the counters around each query so :class:`repro.core.stats.QueryStats` can
-report per-query hit rates.
+The star edit distance is computed directly (Lemma 1, Θ(|L|) per pair);
+no process-global memo sits in front of it.  :func:`sed_cache_info` and
+:func:`sed_cache_clear` remain only because the ``perfbench`` harness still
+imports them for its ``sed_cache.*`` counters; both will be deleted by the
+benchmark change that drops those counters.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-from ..config import ENV_SED_CACHE_SIZE, env_int
-from ..graphs.star import Star, star_edit_distance
-
-#: Default maximum number of signature pairs kept (a pair is ~100 bytes of
-#: strings plus dict overhead, so the default tops out around tens of MB).
-DEFAULT_CAPACITY = 1 << 18
-
-#: Environment variable overriding the global cache capacity (0 disables).
-#: Alias of :data:`repro.config.ENV_SED_CACHE_SIZE`.
-ENV_CAPACITY = ENV_SED_CACHE_SIZE
 
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """``functools.lru_cache``-style snapshot of a cache's counters."""
+    """``functools.lru_cache``-style counter snapshot (always all zero)."""
 
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-    @property
-    def requests(self) -> int:
-        """Total lookups served (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0.0 when unused)."""
-        total = self.requests
-        return self.hits / total if total else 0.0
-
-
-class SEDCache:
-    """Bounded cache of star edit distances keyed on signature pairs.
-
-    Eviction is oldest-first (insertion order): refreshing recency on every
-    hit would cost more than the SED it saves, and with the default capacity
-    of 2¹⁸ pairs eviction is rare anyway.  Thread-safe: the pipelined
-    engine's DC workers share the global cache; hit counters are best-effort
-    under concurrent readers (they may undercount, never miscount a value).
-    A ``maxsize <= 0`` cache is a transparent pass-through that neither
-    stores results nor counts hits/misses, so disabling it restores the
-    uncached behaviour exactly.
-
-    Examples
-    --------
-    >>> cache = SEDCache(maxsize=16)
-    >>> cache.distance(Star("a", "bc"), Star("a", "bd"))
-    1
-    >>> cache.distance(Star("a", "bd"), Star("a", "bc"))  # symmetric hit
-    1
-    >>> cache.info().hits, cache.info().misses
-    (1, 1)
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_CAPACITY) -> None:
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def distance(self, s1: Star, s2: Star) -> int:
-        """``λ(s1, s2)`` — memoised :func:`star_edit_distance`."""
-        if self.maxsize <= 0:
-            return star_edit_distance(s1, s2)
-        a, b = s1.signature, s2.signature
-        key = (a, b) if a <= b else (b, a)
-        # Lock-free lookup: a single dict.get on a string-tuple key is
-        # atomic under the GIL, and a stale read is just a recompute.
-        value = self._data.get(key)
-        if value is not None:
-            self._hits += 1
-            return value
-        value = star_edit_distance(s1, s2)
-        with self._lock:
-            self._misses += 1
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return value
-
-    def info(self) -> CacheInfo:
-        """Counter snapshot (hits, misses, maxsize, currsize)."""
-        with self._lock:
-            return CacheInfo(
-                hits=self._hits,
-                misses=self._misses,
-                maxsize=self.maxsize,
-                currsize=len(self._data),
-            )
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._data.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def resize(self, maxsize: int) -> None:
-        """Change capacity in place, evicting LRU entries if shrinking."""
-        with self._lock:
-            self.maxsize = int(maxsize)
-            while len(self._data) > max(0, self.maxsize):
-                self._data.popitem(last=False)
-
-
-def _capacity_from_env() -> int:
-    return env_int(ENV_CAPACITY, DEFAULT_CAPACITY)
-
-
-#: The process-global cache every engine query path goes through.
-GLOBAL_SED_CACHE = SEDCache(_capacity_from_env())
-
-
-def cached_star_edit_distance(s1: Star, s2: Star) -> int:
-    """Drop-in replacement for :func:`star_edit_distance` using the global cache."""
-    return GLOBAL_SED_CACHE.distance(s1, s2)
+    hits: int = 0
+    misses: int = 0
+    maxsize: int = 0
+    currsize: int = 0
 
 
 def sed_cache_info() -> CacheInfo:
-    """Introspect the global cache (mirrors ``lru_cache.cache_info()``)."""
-    return GLOBAL_SED_CACHE.info()
+    """All-zero counters: there is no SED memo cache.
+
+    Kept for ``perfbench``; deleted by the benchmark change that drops the
+    ``sed_cache.*`` counters.
+    """
+    return CacheInfo()
 
 
 def sed_cache_clear() -> None:
-    """Empty the global cache (mirrors ``lru_cache.cache_clear()``)."""
-    GLOBAL_SED_CACHE.clear()
+    """Do nothing: there is no SED memo cache.
 
-
-def publish_cache_metrics(registry, cache: SEDCache = None) -> None:
-    """Export a cache's lifetime counters as gauges on *registry*.
-
-    *registry* is duck-typed (a :class:`repro.obs.metrics.MetricsRegistry`)
-    so this module keeps zero dependency on the observability layer.
-    Called by the plan executor after each metered query; cheap enough to
-    run per query (four gauge sets from one locked snapshot).
+    Kept for ``perfbench``; deleted by the benchmark change that drops the
+    ``sed_cache.*`` counters.
     """
-    info = (cache if cache is not None else GLOBAL_SED_CACHE).info()
-    registry.gauge(
-        "repro_sed_cache_entries", "signature pairs currently cached"
-    ).set(info.currsize)
-    registry.gauge(
-        "repro_sed_cache_capacity", "configured cache capacity"
-    ).set(info.maxsize)
-    registry.gauge(
-        "repro_sed_cache_hits_lifetime", "process-lifetime cache hits"
-    ).set(info.hits)
-    registry.gauge(
-        "repro_sed_cache_misses_lifetime", "process-lifetime cache misses"
-    ).set(info.misses)

@@ -257,3 +257,37 @@ class TestIndexScrub:
 
     def test_scrub_missing_sidecar_errors(self, corpus_file, capsys):
         assert main(["index", "scrub", str(corpus_file)]) == 1
+
+
+class TestIndexPathFromHeader:
+    """inspect and scrub find the sidecar the database header records,
+    as ``load_index`` and ``save_index`` do."""
+
+    @pytest.fixture
+    def relocated(self, tmp_path, paper_g1, paper_g2):
+        from repro.core.engine import SegosIndex
+        from repro.core.persistence import save_index
+
+        sidecar = tmp_path / "elsewhere" / "idx.segosx"
+        sidecar.parent.mkdir()
+        engine = SegosIndex(
+            {"g1": paper_g1, "g2": paper_g2}, index_path=str(sidecar)
+        )
+        path = tmp_path / "db.segos"
+        save_index(engine, path)
+        assert sidecar.exists()
+        assert not (tmp_path / "db.segos.segosx").exists()
+        return path, sidecar
+
+    def test_inspect_reads_header_index_path(self, relocated, capsys):
+        path, sidecar = relocated
+        assert main(["index", "inspect", str(path), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert f"sidecar:        {sidecar}" in out
+        assert "fresh" in out
+
+    def test_scrub_reads_header_index_path(self, relocated, capsys):
+        path, sidecar = relocated
+        assert main(["index", "scrub", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert str(sidecar) in out and "clean" in out

@@ -15,7 +15,6 @@ from repro.config import (
     ENV_ASSIGNMENT_BACKEND,
     ENV_BATCH_WORKERS,
     ENV_KNOBS,
-    ENV_SED_CACHE_SIZE,
     ENV_TOPK_BACKEND,
     ENV_VERIFY_BUDGET,
     ENV_VERIFY_DEADLINE,
@@ -45,7 +44,6 @@ class TestPrecedence:
         assert config.k == 100
         assert config.h == 1000
         assert config.partial_fraction == 0.5
-        assert config.sed_cache_size == 1 << 18
         assert config.assignment_backend is None
         assert config.topk_backend is None
         assert config.batch_workers == 1
@@ -56,11 +54,9 @@ class TestPrecedence:
         assert config.trace_path is None
         assert config.metrics is False
         assert config.index_path is None
-        assert config.mmap is True
         assert config.delta_compact == 0.25
 
     def test_env_provides_defaults(self, monkeypatch):
-        monkeypatch.setenv(ENV_SED_CACHE_SIZE, "1024")
         monkeypatch.setenv(ENV_ASSIGNMENT_BACKEND, "pure")
         monkeypatch.setenv(ENV_TOPK_BACKEND, "scan")
         monkeypatch.setenv(ENV_BATCH_WORKERS, "3")
@@ -68,7 +64,6 @@ class TestPrecedence:
         monkeypatch.setenv(ENV_VERIFY_BUDGET, "12345")
         monkeypatch.setenv(ENV_VERIFY_DEADLINE, "1.5")
         config = EngineConfig.from_env()
-        assert config.sed_cache_size == 1024
         assert config.assignment_backend == "pure"
         assert config.topk_backend == "scan"
         assert config.batch_workers == 3
@@ -149,12 +144,12 @@ class TestValidation:
             {"k": 0},
             {"h": 0},
             {"partial_fraction": -0.1},
-            {"sed_cache_size": -1},
             {"batch_workers": 0},
             {"verify_workers": 0},
             {"verify_budget": 0},
             {"verify_deadline": 0.0},
             {"delta_compact": -0.1},
+            {"task_timeout": 0.0},
         ],
     )
     def test_bounds(self, kwargs):
@@ -204,10 +199,9 @@ class TestEnvIsolation:
 
     def test_env_var_names_are_reexported(self):
         from repro.core import ta_search
-        from repro.perf import assignment, sed_cache
+        from repro.perf import assignment
 
         assert assignment.ENV_BACKEND == ENV_ASSIGNMENT_BACKEND
-        assert sed_cache.ENV_CAPACITY == ENV_SED_CACHE_SIZE
         assert ta_search.ENV_TOPK_BACKEND == ENV_TOPK_BACKEND
 
     def test_config_travels_to_subprocess(self):
@@ -231,24 +225,21 @@ class TestEnvIsolation:
         assert out.stdout.decode().split() == ["17", "55", "ta"]
 
 
-class TestSedCacheKnob:
-    def test_engine_resizes_global_cache(self):
-        from repro.perf.sed_cache import GLOBAL_SED_CACHE
+class TestRetiredKnobs:
+    def test_retired_env_knobs_are_ignored(self, monkeypatch, tmp_path):
+        """``REPRO_SED_CACHE_SIZE`` and ``REPRO_MMAP`` name no knob any more:
+        exporting them changes no config field and cannot turn off the
+        sidecar attach."""
+        from repro.core.persistence import load_index, save_index
 
-        before = GLOBAL_SED_CACHE.maxsize
-        try:
-            SegosIndex(sed_cache_size=2048)
-            assert GLOBAL_SED_CACHE.maxsize == 2048
-        finally:
-            GLOBAL_SED_CACHE.resize(before)
+        for _, env in ENV_KNOBS:
+            monkeypatch.delenv(env, raising=False)
+        baseline = EngineConfig.from_env().knobs()
+        assert len(baseline) == 20
+        monkeypatch.setenv("REPRO_SED_CACHE_SIZE", "0")
+        monkeypatch.setenv("REPRO_MMAP", "0")
+        assert EngineConfig.from_env().knobs() == baseline
 
-    def test_engine_leaves_cache_alone_when_size_matches(self):
-        from repro.perf.sed_cache import GLOBAL_SED_CACHE
-
-        g = Graph(["a", "b"], [(0, 1)])
-        engine = SegosIndex()
-        engine.add("g", g)
-        engine.range_query(g, tau=0)
-        hits_before = GLOBAL_SED_CACHE.info().hits
-        SegosIndex(sed_cache_size=GLOBAL_SED_CACHE.maxsize)
-        assert GLOBAL_SED_CACHE.info().hits == hits_before
+        path = tmp_path / "db.segos"
+        save_index(build_engine([("g", Graph(["a", "b"], [(0, 1)]))]), path)
+        assert load_index(path).disk_handle() is not None

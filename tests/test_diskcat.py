@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ENV_MMAP
 from repro.core.engine import SegosIndex
 from repro.core.join import similarity_self_join
 from repro.core.knn import knn_query
@@ -158,11 +157,9 @@ class TestMmapLoad:
         assert loaded.disk_handle() is not None
         assert loaded.index.promoted is False
 
-    def test_rebuild_when_mmap_disabled(self, saved, monkeypatch):
+    def test_rebuild_when_mmap_disabled(self, saved):
         _, _, path = saved
         assert load_index(path, mmap=False).disk_handle() is None
-        monkeypatch.setenv(ENV_MMAP, "0")
-        assert load_index(path).disk_handle() is None
 
     def test_consistency_while_mapped(self, saved):
         _, _, path = saved

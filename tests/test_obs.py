@@ -39,7 +39,6 @@ from repro.obs import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.perf.sed_cache import sed_cache_clear
 
 
 def build_engine(items, **kwargs):
@@ -435,9 +434,7 @@ class TestTracedQueries:
 
     def test_trace_true_identical_answers(self, engine, corpus):
         query = corpus[1][1]
-        sed_cache_clear()
         plain = engine.range_query(query, tau=2, verify="exact")
-        sed_cache_clear()
         traced = engine.range_query(query, tau=2, verify="exact", trace=True)
         assert sorted(map(str, traced.candidates)) == sorted(
             map(str, plain.candidates)
@@ -451,9 +448,7 @@ class TestTracedQueries:
         so tracing must not change a single non-timing series — for any
         query and threshold."""
         query = corpus[index][1]
-        sed_cache_clear()
         plain = engine.range_query(query, tau=tau, verify="exact")
-        sed_cache_clear()
         traced = engine.range_query(query, tau=tau, verify="exact", trace=True)
         reg_plain, reg_traced = MetricsRegistry(), MetricsRegistry()
         record_query_metrics(reg_plain, plain.stats, 0.0)

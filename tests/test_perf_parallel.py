@@ -180,24 +180,11 @@ class TestStatsAggregation:
         merged = QueryStats.merged(r.stats for r in results)
         assert merged.candidates == sum(r.stats.candidates for r in results)
         assert merged.ta_searches == sum(r.stats.ta_searches for r in results)
-        assert merged.sed_cache_misses == sum(
-            r.stats.sed_cache_misses for r in results
-        )
 
     def test_elapsed_reported_everywhere(self, corpus):
         _, engine, queries = corpus
         for result in engine.batch_range_query(queries[:3], tau=1, workers=2):
             assert result.elapsed >= 0.0
-
-    def test_query_stats_expose_cache_hit_rate(self, corpus):
-        _, engine, queries = corpus
-        engine.sed_cache_clear()
-        first = engine.range_query(queries[0], tau=1)
-        again = engine.range_query(queries[0], tau=1)
-        assert first.stats.sed_cache_misses > 0
-        assert again.stats.sed_cache_hit_rate == 1.0
-        info = engine.sed_cache_info()
-        assert info.hits >= again.stats.sed_cache_hits
 
 
 class TestEffectiveWorkers:

@@ -11,7 +11,8 @@ from repro.graphs import io as gio
 from repro.graphs.model import Graph
 
 # Verbatim first line of a database saved before catalog sharding was
-# removed: the v2 header still records the three retired sharding knobs.
+# removed: the v2 header still records the three retired sharding knobs,
+# and the equally retired ``sed_cache_size`` and ``mmap``.
 RETIRED_KNOBS_HEADER = (
     '#segos {"config": {"assignment_backend": null, "batch_workers": 1, '
     '"delta_compact": 0.25, "fault_plan": null, "filter_tiers": ["ta", "ca", '
@@ -157,7 +158,9 @@ class TestHeaderHandling:
         # A re-save writes a header without the retired keys.
         resaved = tmp_path / "new.segos"
         save_index(loaded, resaved)
-        assert "shard" not in resaved.read_text().splitlines()[0]
+        header = resaved.read_text().splitlines()[0]
+        for retired in ("shard", "sed_cache_size", '"mmap"'):
+            assert retired not in header
         assert load_index(resaved).config == loaded.config
 
     def test_retired_auto_topk_backend_loads_as_default(self, tmp_path):
