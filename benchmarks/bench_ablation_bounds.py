@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.bench import Series, format_table
+from repro.config import PAPER_FILTER_TIERS
 from repro.core.ca_search import ca_range_query
 from repro.core.engine import SegosIndex
 from repro.core.graph_lists import build_all_lists
@@ -35,7 +36,12 @@ VARIANTS = [
 def test_ablation_bound_chain(benchmark, aids_dataset, grid, report):
     data = aids_dataset.subset(grid.default_db_size)
     queries = sample_queries(data, grid.query_count, seed=91)
-    engine = SegosIndex(data.graphs, k=grid.default_k, h=grid.default_h)
+    engine = SegosIndex(
+        data.graphs,
+        k=grid.default_k,
+        h=grid.default_h,
+        filter_tiers=PAPER_FILTER_TIERS,
+    )
     tau = grid.default_tau
 
     access = Series("access#")

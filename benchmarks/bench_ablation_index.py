@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.bench import Series, format_table
+from repro.config import PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.core.ta_search import brute_force_top_k, top_k_stars
 from repro.datasets import sample_queries
@@ -26,7 +27,11 @@ def test_ablation_two_level_index(benchmark, aids_dataset, grid, report):
     data = aids_dataset.subset(grid.default_db_size)
     queries = sample_queries(data, grid.query_count, seed=93)
     engine = SegosIndex(
-        data.graphs, k=grid.default_k, h=grid.default_h, topk_backend="ta"
+        data.graphs,
+        k=grid.default_k,
+        h=grid.default_h,
+        topk_backend="ta",
+        filter_tiers=PAPER_FILTER_TIERS,
     )
     catalog_size = engine.distinct_star_count()
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import SegosMethod
 from repro.bench import Series, format_table, run_queries
+from repro.config import PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.datasets import sample_queries
 
@@ -33,6 +34,7 @@ def test_ablation_partial_fraction(benchmark, aids_dataset, grid, report):
             k=grid.default_k,
             h=grid.default_h,
             partial_fraction=fraction,
+            filter_tiers=PAPER_FILTER_TIERS,
         )
         total_time = total_access = total_pruned = 0.0
         for query in queries:
@@ -54,7 +56,6 @@ def test_ablation_partial_fraction(benchmark, aids_dataset, grid, report):
             [times, access, pruned_partial],
         ),
     )
-    engine = SegosIndex(data.graphs, k=grid.default_k, h=grid.default_h)
     benchmark.pedantic(
         lambda: run_queries(
             SegosMethod(data.graphs, k=grid.default_k, h=grid.default_h),

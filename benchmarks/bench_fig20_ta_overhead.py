@@ -4,7 +4,7 @@ Paper: even in the worst case the TA stage costs under 0.1 % of the overall
 response time.  Pure Python inflates constant factors, so we assert a loose
 ceiling and report the measured share per k_s.  The engine pins
 ``topk_backend="ta"`` so the timed stage is Algorithm 2, not the default
-columnar scan.
+columnar scan, and the paper's ``ta -> ca -> verify`` chain.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.bench import Series, format_table
+from repro.config import PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.datasets import sample_queries
 from repro.graphs.star import decompose
@@ -23,7 +24,11 @@ def test_fig20_ta_overhead(benchmark, aids_dataset, grid, report):
     data = aids_dataset.subset(grid.default_db_size)
     queries = sample_queries(data, grid.query_count, seed=71)
     engine = SegosIndex(
-        data.graphs, k=grid.default_k, h=grid.default_h, topk_backend="ta"
+        data.graphs,
+        k=grid.default_k,
+        h=grid.default_h,
+        topk_backend="ta",
+        filter_tiers=PAPER_FILTER_TIERS,
     )
     tau = grid.default_tau
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import Series, format_table
+from repro.config import PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.core.pipeline import PipelinedSegos
 from repro.datasets import sample_queries
@@ -22,7 +23,12 @@ def test_fig21_pipeline(benchmark, which, aids_dataset, pdg_dataset, grid, repor
     dataset = aids_dataset if which == "aids" else pdg_dataset
     data = dataset.subset(grid.default_db_size)
     queries = sample_queries(data, grid.query_count, seed=81)
-    engine = SegosIndex(data.graphs, k=grid.default_k, h=grid.default_h)
+    engine = SegosIndex(
+        data.graphs,
+        k=grid.default_k,
+        h=grid.default_h,
+        filter_tiers=PAPER_FILTER_TIERS,
+    )
     pipeline = PipelinedSegos(engine)
 
     plain_series = Series("SEGOS time (s)")

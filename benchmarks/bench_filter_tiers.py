@@ -42,7 +42,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.config import DEFAULT_FILTER_TIERS, FULL_TIER_CHAIN  # noqa: E402
+from repro.config import FULL_TIER_CHAIN, PAPER_FILTER_TIERS  # noqa: E402
 from repro.core.engine import SegosIndex  # noqa: E402
 from repro.graphs.model import Graph  # noqa: E402
 from repro.perf.columnar import numpy_available  # noqa: E402
@@ -50,7 +50,7 @@ from repro.perf.columnar import numpy_available  # noqa: E402
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_filter_tiers.json"
 
 CHAINS = {
-    "legacy": ",".join(DEFAULT_FILTER_TIERS),
+    "legacy": ",".join(PAPER_FILTER_TIERS),
     "full": ",".join(FULL_TIER_CHAIN),
 }
 

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from ..config import PAPER_FILTER_TIERS
 from ..core.engine import SegosIndex
 from ..graphs.model import Graph
 from .base import FilterResult, RangeQueryMethod
 
 
 class SegosMethod(RangeQueryMethod):
-    """SEGOS (non-pipelined CA search) behind the baseline interface."""
+    """SEGOS (non-pipelined CA search) behind the baseline interface.
+
+    Pinned to the paper's chain (:data:`~repro.config.PAPER_FILTER_TIERS`),
+    so the candidate counts the figure benches compare are CA's.
+    """
 
     name = "SEGOS"
 
@@ -31,7 +36,9 @@ class SegosMethod(RangeQueryMethod):
             kwargs["k"] = k
         if h is not None:
             kwargs["h"] = h
-        self.engine = SegosIndex(self.graphs, **kwargs)
+        self.engine = SegosIndex(
+            self.graphs, filter_tiers=PAPER_FILTER_TIERS, **kwargs
+        )
 
     def range_query(self, query: Graph, *, tau: float) -> FilterResult:
         result = self.engine.range_query(query, tau=tau)

@@ -100,8 +100,12 @@ DEFAULT_FSYNC_POLICY = "batch"
 #: three paper stages keep their names.  A configured chain must be an
 #: ordered subsequence of this tuple containing the three paper stages.
 FULL_TIER_CHAIN = ("embed", "ta", "ca", "anchor", "verify")
-#: Default chain: the paper's TA -> CA -> verify pipeline, new tiers off.
-DEFAULT_FILTER_TIERS = ("ta", "ca", "verify")
+#: The paper's configuration: TA -> CA -> verify, the extra tiers off.
+#: The figure benches and the paper baseline adapter pin this chain.
+PAPER_FILTER_TIERS = ("ta", "ca", "verify")
+#: Default chain: every tier on, chosen on ``perfbench`` (pdg-churn
+#: ``queries_per_s`` 1.77x the paper chain, aids-tight 1.22x).
+DEFAULT_FILTER_TIERS = FULL_TIER_CHAIN
 
 
 def validate_filter_tiers(tiers) -> Tuple[str, ...]:
@@ -329,12 +333,13 @@ class EngineConfig:
     filter_tiers:
         The composable filter-tier chain the query planner executes, as
         an ordered subsequence of :data:`FULL_TIER_CHAIN` that keeps the
-        three paper stages.  The default is the paper pipeline
-        (``ta, ca, verify``); enabling ``embed`` adds the constant-time
-        label/degree embedding pre-filter ahead of TA and ``anchor``
-        adds the assignment-based anchored bound ahead of exact A*.
-        Both new tiers prune only provable non-answers, so the match set
-        is identical with any valid chain.  Accepts a comma-separated
+        three paper stages.  The default is the full chain: ``embed``
+        adds the constant-time label/degree embedding pre-filter ahead
+        of TA and ``anchor`` adds the assignment-based anchored bound
+        ahead of exact A*.  :data:`PAPER_FILTER_TIERS`
+        (``ta, ca, verify``) is the paper's pipeline.  Both extra tiers
+        prune only provable non-answers, so the match set is identical
+        with any valid chain.  Accepts a comma-separated
         string or a sequence of names.  Env: ``REPRO_FILTER_TIERS``.
     """
 

@@ -305,14 +305,21 @@ class EmbedStage(Stage):
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
         embeddings = ctx.engine.embeddings(stats=ctx.stats)
         bounds = embeddings.lower_bounds(ctx.query)
-        excluded = set()
-        tau = ctx.tau
-        for gid, bound in zip(embeddings.gids, bounds):
-            value = float(bound)
-            ctx.stats.record_tier_bound("embed", value)
-            if value > tau:
-                excluded.add(gid)
-                ctx.stats.count_prune("embed")
+        if not embeddings.n_graphs:
+            ctx.embed_excluded = frozenset()
+            return ctx
+        gids, tau = embeddings.gids, ctx.tau
+        if isinstance(bounds, list):  # the pure-Python sweep
+            excluded = [gid for gid, bound in zip(gids, bounds) if bound > tau]
+            bound_sum, bound_max = sum(bounds), max(bounds)
+        else:
+            excluded = [gids[i] for i in (bounds > tau).nonzero()[0].tolist()]
+            bound_sum, bound_max = bounds.sum(), bounds.max()
+        ctx.stats.fold_tier_bounds(
+            "embed", embeddings.n_graphs, float(bound_sum), float(bound_max)
+        )
+        if excluded:
+            ctx.stats.count_prune("embed", len(excluded))
         ctx.embed_excluded = frozenset(excluded)
         return ctx
 
@@ -432,16 +439,6 @@ class QueryPlan:
     description: str = ""
 
     @classmethod
-    def range_query(
-        cls, *, disabled_bounds: frozenset = frozenset()
-    ) -> "QueryPlan":
-        """The legacy paper chain (TA → CA → verify), tier knob ignored."""
-        return cls(
-            stages=(TAStage(), CAStage(disabled_bounds), VerifyStage()),
-            description="ta -> ca -> verify",
-        )
-
-    @classmethod
     def from_tiers(
         cls,
         config: EngineConfig,
@@ -450,8 +447,8 @@ class QueryPlan:
     ) -> "QueryPlan":
         """The serial plan for ``config.filter_tiers`` — one stage per tier.
 
-        ``("ta", "ca", "verify")`` reproduces :meth:`range_query` exactly;
-        enabling ``embed``/``anchor`` inserts their stages in chain order.
+        ``("ta", "ca", "verify")`` is the paper's chain; ``embed`` and
+        ``anchor`` insert their stages in chain order.
         """
         tiers = resolve_tier_chain(config.filter_tiers)
         builders = {

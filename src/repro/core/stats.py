@@ -95,8 +95,8 @@ class QueryStats:
     #: :mod:`repro.resilience`); silent degradation is a bug
     degradations: List[DegradationEvent] = field(default_factory=list)
 
-    def count_prune(self, bound: str) -> None:
-        self.pruned_by[bound] = self.pruned_by.get(bound, 0) + 1
+    def count_prune(self, bound: str, count: int = 1) -> None:
+        self.pruned_by[bound] = self.pruned_by.get(bound, 0) + count
 
     def count_topk_backend(self, backend: str, scan_width: int = 0) -> None:
         """Record one top-k search answered by *backend*."""
@@ -105,13 +105,19 @@ class QueryStats:
 
     def record_tier_bound(self, tier: str, bound: float) -> None:
         """Fold one lower-bound evaluation into *tier*'s tightness counters."""
+        self.fold_tier_bounds(tier, 1, bound, bound)
+
+    def fold_tier_bounds(
+        self, tier: str, evaluated: float, bound_sum: float, bound_max: float
+    ) -> None:
+        """Fold *evaluated* bounds (their sum and max) into *tier*'s counters."""
         entry = self.tier_bounds.setdefault(
             tier, {"evaluated": 0.0, "bound_sum": 0.0, "bound_max": 0.0}
         )
-        entry["evaluated"] += 1
-        entry["bound_sum"] += bound
-        if bound > entry["bound_max"]:
-            entry["bound_max"] = bound
+        entry["evaluated"] += evaluated
+        entry["bound_sum"] += bound_sum
+        if bound_max > entry["bound_max"]:
+            entry["bound_max"] = bound_max
 
     def summary(self) -> str:
         """One-line human-readable account of where the filtering work went.
@@ -182,13 +188,9 @@ class QueryStats:
         self.astar_expansions += other.astar_expansions
         self.anchor_settled += other.anchor_settled
         for tier, entry in other.tier_bounds.items():
-            mine = self.tier_bounds.setdefault(
-                tier, {"evaluated": 0.0, "bound_sum": 0.0, "bound_max": 0.0}
+            self.fold_tier_bounds(
+                tier, entry["evaluated"], entry["bound_sum"], entry["bound_max"]
             )
-            mine["evaluated"] += entry["evaluated"]
-            mine["bound_sum"] += entry["bound_sum"]
-            if entry["bound_max"] > mine["bound_max"]:
-                mine["bound_max"] = entry["bound_max"]
         for key, value in other.pruned_by.items():
             self.pruned_by[key] = self.pruned_by.get(key, 0) + value
         for key, value in other.topk_backends.items():

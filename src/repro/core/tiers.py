@@ -99,7 +99,7 @@ class FilterTier(Protocol):
 
 
 def resolve_tier_chain(tiers=None) -> Tuple[str, ...]:
-    """Normalise *tiers* (default: the legacy paper chain)."""
+    """Normalise *tiers* (default: :data:`~repro.config.DEFAULT_FILTER_TIERS`)."""
     if tiers is None:
         return DEFAULT_FILTER_TIERS
     return validate_filter_tiers(tiers)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.config import PAPER_FILTER_TIERS
 from repro.core import pipeline
 from repro.core.ca_search import ca_range_query
 from repro.core.engine import SegosIndex
@@ -223,7 +224,8 @@ def pipelined_counts(graphs, query, tau, monkeypatch):
     schedule = _SteppedSchedule()
     monkeypatch.setattr(pipeline, "threading", schedule.threading)
     monkeypatch.setattr(pipeline, "queue", schedule.queue)
-    result = pipeline.PipelinedSegos(SegosIndex(graphs), k=10).range_query(query, tau=tau)
+    engine = SegosIndex(graphs, filter_tiers=PAPER_FILTER_TIERS)
+    result = pipeline.PipelinedSegos(engine, k=10).range_query(query, tau=tau)
     return access_counts(result.stats)
 
 

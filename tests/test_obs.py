@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ENV_METRICS, ENV_TRACE, ENV_TRACE_PATH, EngineConfig
+from repro.config import (
+    ENV_METRICS,
+    ENV_TRACE,
+    ENV_TRACE_PATH,
+    FULL_TIER_CHAIN,
+    PAPER_FILTER_TIERS,
+    EngineConfig,
+)
 from repro.core.engine import SegosIndex
 from repro.core.knn import knn_query
 from repro.core.join import similarity_self_join
@@ -424,13 +431,25 @@ class TestTracedQueries:
         assert result.trace is None
 
     def test_traced_range_query_span_tree(self, engine, corpus):
-        result = engine.range_query(corpus[0][1], tau=2, verify="exact", trace=True)
+        result = engine.range_query(
+            corpus[0][1],
+            tau=2,
+            verify="exact",
+            trace=True,
+            filter_tiers=PAPER_FILTER_TIERS,
+        )
         trace = result.trace
         assert trace is not None
         (root,) = trace.roots()
         assert root.name == "query"
         stages = [s.name for s in trace.children(root.span_id)]
         assert stages == ["ta", "ca", "verify"]
+
+    def test_default_chain_span_tree(self, engine, corpus):
+        result = engine.range_query(corpus[0][1], tau=2, verify="exact", trace=True)
+        (root,) = result.trace.roots()
+        stages = [s.name for s in result.trace.children(root.span_id)]
+        assert stages == list(FULL_TIER_CHAIN)
 
     def test_trace_true_identical_answers(self, engine, corpus):
         query = corpus[1][1]
@@ -536,6 +555,7 @@ def golden_result(saved_engine):
         verify_workers=2,
         fault_plan="worker.crash:times=1:stage=verify",
         retry_backoff=0.0,
+        filter_tiers=PAPER_FILTER_TIERS,
     )
     query = _rand_graph(7, seed=99)
     result = PipelinedSegos(engine).range_query(

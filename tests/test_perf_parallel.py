@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import ENV_BATCH_WORKERS
+from repro.config import ENV_BATCH_WORKERS, PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.core.pipeline import PipelinedSegos
 from repro.core.stats import QueryStats
@@ -163,9 +163,14 @@ class TestSerialFallback:
     def test_verify_runs_serially_with_one_event(self, engine):
         data, _ = _graphs()
         query = sample_queries(data, 4, seed=0, edits=2)[2]
-        serial = engine.range_query(query, tau=3, verify="exact")
+        # The paper chain, whose candidates reach A* (the anchor tier
+        # would settle them first).
+        paper = PAPER_FILTER_TIERS
+        serial = engine.range_query(query, tau=3, verify="exact", filter_tiers=paper)
         assert serial.stats.astar_runs > 1  # precondition: a pool would run
-        fanned = engine.range_query(query, tau=3, verify="exact", verify_workers=2)
+        fanned = engine.range_query(
+            query, tau=3, verify="exact", verify_workers=2, filter_tiers=paper
+        )
         assert fanned.matches == serial.matches
         assert fanned.stats.astar_runs == serial.stats.astar_runs
         (event,) = fanned.stats.degradations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import FULL_TIER_CHAIN, PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.core.persistence import load_index, save_index
 from repro.errors import ParseError
@@ -147,7 +148,8 @@ class TestHeaderHandling:
             fh.write(RETIRED_KNOBS_HEADER)
             gio.write_graphs(fh, list(RETIRED_KNOBS_GRAPHS.items()))
         loaded = load_index(path)
-        fresh = SegosIndex(RETIRED_KNOBS_GRAPHS)
+        # The header records the paper chain, and candidates depend on it.
+        fresh = SegosIndex(RETIRED_KNOBS_GRAPHS, filter_tiers=PAPER_FILTER_TIERS)
         assert set(loaded.gids()) == set(RETIRED_KNOBS_GRAPHS)
         for query in RETIRED_KNOBS_GRAPHS.values():
             for tau in (0, 1, 2, 3):
@@ -162,6 +164,23 @@ class TestHeaderHandling:
         for retired in ("shard", "sed_cache_size", '"mmap"'):
             assert retired not in header
         assert load_index(resaved).config == loaded.config
+
+    def test_saved_paper_chain_is_honoured(self, tmp_path):
+        """A header recording ``ta,ca,verify`` reopens with that chain,
+        not the full default, and a re-save keeps it."""
+        path = tmp_path / "old.segos"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(RETIRED_KNOBS_HEADER)
+            gio.write_graphs(fh, list(RETIRED_KNOBS_GRAPHS.items()))
+        loaded = load_index(path)
+        assert SegosIndex().filter_tiers == FULL_TIER_CHAIN
+        assert loaded.filter_tiers == PAPER_FILTER_TIERS
+        query = RETIRED_KNOBS_GRAPHS["g0"]
+        stats = loaded.range_query(query, tau=1, verify="exact").stats
+        assert set(stats.stage_seconds) == set(PAPER_FILTER_TIERS)
+        resaved = tmp_path / "new.segos"
+        save_index(loaded, resaved)
+        assert load_index(resaved).filter_tiers == PAPER_FILTER_TIERS
 
     def test_retired_auto_topk_backend_loads_as_default(self, tmp_path):
         """Headers saved while the top-k planner existed may say ``auto``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import FULL_TIER_CHAIN, PAPER_FILTER_TIERS, EngineConfig
 from repro.core.engine import SegosIndex
 from repro.core.pipeline import PipelinedSegos
 from repro.core.plan import (
@@ -37,14 +38,25 @@ def engine(corpus):
     return build_engine(corpus)
 
 
+@pytest.fixture()
+def paper_engine(corpus):
+    return build_engine(corpus, filter_tiers=PAPER_FILTER_TIERS)
+
+
 class TestPlanShape:
     def test_range_plan_stage_order(self):
-        plan = QueryPlan.range_query()
+        plan = QueryPlan.from_tiers(EngineConfig(filter_tiers=PAPER_FILTER_TIERS))
         assert [type(s) for s in plan.stages] == [TAStage, CAStage, VerifyStage]
         assert [s.name for s in plan.stages] == ["ta", "ca", "verify"]
 
-    def test_pipelined_plan_shares_verify_stage(self, engine):
-        plan = PipelinedSegos(engine).plan()
+    def test_default_plan_runs_every_tier(self, engine):
+        plan = QueryPlan.from_tiers(EngineConfig())
+        assert [s.name for s in plan.stages] == list(FULL_TIER_CHAIN)
+        piped = PipelinedSegos(engine).plan()
+        assert [s.name for s in piped.stages] == ["embed", "ta+ca", "anchor", "verify"]
+
+    def test_pipelined_plan_shares_verify_stage(self, paper_engine):
+        plan = PipelinedSegos(paper_engine).plan()
         assert [s.name for s in plan.stages] == ["ta+ca", "verify"]
         assert isinstance(plan.stages[-1], VerifyStage)
 
@@ -57,14 +69,19 @@ class TestStageTiming:
     """Satellite: per-stage timings are captured uniformly by the executor,
     on the plain and the pipelined path alike — pinned here."""
 
-    def test_serial_stage_seconds_keys(self, engine, corpus):
-        result = engine.range_query(corpus[0][1], tau=2, verify="exact")
+    def test_serial_stage_seconds_keys(self, paper_engine, corpus):
+        result = paper_engine.range_query(corpus[0][1], tau=2, verify="exact")
         assert set(result.stats.stage_seconds) == {"ta", "ca", "verify"}
         assert all(v >= 0 for v in result.stats.stage_seconds.values())
         assert sum(result.stats.stage_seconds.values()) <= result.elapsed
 
-    def test_pipelined_stage_seconds_keys(self, engine, corpus):
-        result = PipelinedSegos(engine).range_query(corpus[0][1], tau=2)
+    def test_default_stage_seconds_keys(self, engine, corpus):
+        result = engine.range_query(corpus[0][1], tau=2, verify="exact")
+        assert set(result.stats.stage_seconds) == set(FULL_TIER_CHAIN)
+        assert sum(result.stats.stage_seconds.values()) <= result.elapsed
+
+    def test_pipelined_stage_seconds_keys(self, paper_engine, corpus):
+        result = PipelinedSegos(paper_engine).range_query(corpus[0][1], tau=2)
         assert set(result.stats.stage_seconds) == {"ta+ca", "verify"}
 
     def test_subsearch_stage_seconds_keys(self, engine, corpus):
@@ -89,7 +106,7 @@ class TestExecutor:
         query = corpus[0][1]
         via_engine = engine.range_query(query, tau=2)
         ctx = make_context(engine, query, 2, config=engine.config)
-        ctx = execute_plan(QueryPlan.range_query(), ctx)
+        ctx = execute_plan(QueryPlan.from_tiers(engine.config), ctx)
         assert sorted(map(str, ctx.candidates)) == sorted(
             map(str, via_engine.candidates)
         )

@@ -5,8 +5,9 @@ Three contracts under test:
 * **Soundness** — every tier's lower bound never exceeds the exact GED,
   and the anchor's upper bound never undercuts it, so adding tiers can
   only prune provable non-answers and settle provable matches.
-* **Identity** — the full five-tier chain answers byte-identically to
-  the legacy ``ta -> ca -> verify`` chain across every query mode
+* **Identity** — the full five-tier chain (the default) answers
+  byte-identically to the paper's ``ta -> ca -> verify`` chain across
+  every query mode
   (serial, batch, pipelined, kNN, join) plus subsearch.
 * **Configuration** — ``filter_tiers`` validation (order, duplicates,
   unknown names, required tiers) and the env knob's degrade-to-default
@@ -31,6 +32,7 @@ from repro.config import (
     DEFAULT_FILTER_TIERS,
     ENV_FILTER_TIERS,
     FULL_TIER_CHAIN,
+    PAPER_FILTER_TIERS,
     EngineConfig,
     validate_filter_tiers,
 )
@@ -39,6 +41,8 @@ from repro.core.join import similarity_self_join
 from repro.core.knn import knn_query
 from repro.core.persistence import load_index, save_index
 from repro.core.pipeline import PipelinedSegos
+from repro.core.plan import EmbedStage, make_context
+from repro.core.stats import QueryStats
 from repro.core.subsearch import SubgraphSearch
 from repro.core.tiers import (
     COST_CLASSES,
@@ -139,6 +143,40 @@ class TestTierSoundness:
         assert with_numpy == without
         assert without == [trivial_lower_bound(query, g) for g in corpus]
 
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+    @settings(
+        deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        corpus=corpus_st,
+        query=graph_st(),
+        tau=st.sampled_from([0, 1, 2, 2.5, 4]),
+    )
+    def test_embed_stage_folds_like_per_graph_bounds(self, numpy, corpus, query, tau):
+        # EmbedStage folds the whole sweep at once; its counters and
+        # exclusions must equal a per-graph fold of the pairwise bound.
+        from repro.perf import columnar
+
+        if numpy and not columnar.numpy_available():
+            pytest.skip("numpy not installed")
+        want = QueryStats()
+        excluded = set()
+        for i, graph in enumerate(corpus):
+            bound = EmbedTier().lower_bound(query, graph)
+            want.record_tier_bound("embed", bound)
+            if bound > tau:
+                want.count_prune("embed")
+                excluded.add(f"g{i}")
+        with pytest.MonkeyPatch.context() as patch:
+            if not numpy:
+                patch.setattr(columnar, "_np", None)
+            engine = build_engine(corpus)
+            ctx = make_context(engine, query, tau, config=engine.config)
+            ctx = EmbedStage().run(ctx)
+        assert ctx.stats.tier_bounds == want.tier_bounds
+        assert ctx.stats.pruned_by == want.pruned_by
+        assert ctx.embed_excluded == frozenset(excluded)
+
 
 # ----------------------------------------------------------------------
 # Full chain == legacy chain, every query mode
@@ -149,7 +187,7 @@ class TestChainIdentity:
     )
     @given(corpus=corpus_st, query=graph_st(), tau=st.sampled_from([0, 1, 2, 4]))
     def test_range_query_identity(self, corpus, query, tau):
-        legacy = build_engine(corpus)
+        legacy = build_engine(corpus, filter_tiers=PAPER_FILTER_TIERS)
         full = build_engine(corpus, filter_tiers=FULL)
         lhs = legacy.range_query(query, tau=tau, verify="exact")
         rhs = full.range_query(query, tau=tau, verify="exact")
@@ -162,7 +200,7 @@ class TestChainIdentity:
     )
     @given(corpus=corpus_st, query=graph_st())
     def test_batch_pipelined_identity(self, corpus, query):
-        legacy = build_engine(corpus)
+        legacy = build_engine(corpus, filter_tiers=PAPER_FILTER_TIERS)
         full = build_engine(corpus, filter_tiers=FULL)
         want = sorted(map(str, legacy.range_query(query, tau=2, verify="exact").matches))
 
@@ -177,7 +215,7 @@ class TestChainIdentity:
     )
     @given(corpus=corpus_st, query=graph_st())
     def test_knn_join_subsearch_identity(self, corpus, query):
-        legacy = build_engine(corpus)
+        legacy = build_engine(corpus, filter_tiers=PAPER_FILTER_TIERS)
         full = build_engine(corpus, filter_tiers=FULL)
 
         k = min(2, len(corpus))
@@ -220,10 +258,12 @@ class TestChainIdentity:
 # Configuration surface
 # ----------------------------------------------------------------------
 class TestTierConfig:
-    def test_default_chain_is_the_paper_chain(self):
-        assert EngineConfig().filter_tiers == DEFAULT_FILTER_TIERS
+    def test_default_chain_is_the_full_chain(self):
+        assert EngineConfig().filter_tiers == FULL_TIER_CHAIN
+        assert DEFAULT_FILTER_TIERS == FULL_TIER_CHAIN
         assert resolve_tier_chain() == DEFAULT_FILTER_TIERS
         assert tuple(COST_CLASSES) == FULL_TIER_CHAIN
+        assert PAPER_FILTER_TIERS == ("ta", "ca", "verify")
 
     def test_accepts_comma_string_and_iterable(self):
         assert validate_filter_tiers("embed,ta,ca,verify") == (
@@ -265,17 +305,17 @@ class TestTierConfig:
     def test_kwarg_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_FILTER_TIERS, FULL)
         engine = SegosIndex(filter_tiers="ta,ca,verify")
-        assert engine.filter_tiers == DEFAULT_FILTER_TIERS
+        assert engine.filter_tiers == PAPER_FILTER_TIERS
 
     def test_per_query_override(self):
         corpus = [Graph(["a", "b"], [(0, 1)]), Graph(["c"], [])]
-        engine = build_engine(corpus)
+        engine = build_engine(corpus, filter_tiers=PAPER_FILTER_TIERS)
         result = engine.range_query(
             corpus[0], tau=0, verify="exact", filter_tiers=FULL
         )
         assert "embed" in result.stats.tier_bounds
         # The engine's own config is untouched by the per-query override.
-        assert engine.filter_tiers == DEFAULT_FILTER_TIERS
+        assert engine.filter_tiers == PAPER_FILTER_TIERS
 
     def test_chain_survives_persistence(self, tmp_path):
         engine = build_engine(

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.config import ENV_VERIFY_WORKERS
+from repro.config import ENV_VERIFY_WORKERS, PAPER_FILTER_TIERS
 from repro.core.engine import SegosIndex
 from repro.core.verify import verify_candidates
 from repro.datasets import aids_like, sample_queries
@@ -167,7 +167,11 @@ class TestParallelVerification:
                 raise TypeError("not today")
 
         bad = Unpicklable(query.labels(), list(query.edges()))
-        candidates = engine.range_query(query, tau=3).candidates
+        # The paper chain: its CA candidates still need A*, while the
+        # anchor tier would settle them first.
+        candidates = engine.range_query(
+            query, tau=3, filter_tiers=PAPER_FILTER_TIERS
+        ).candidates
         truth = verify_candidates(graphs, query, candidates, 3)
         assert truth.astar_runs > 1  # precondition: a pool would run
         report = verify_candidates(
