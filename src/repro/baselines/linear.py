@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Set
 
-from ..graphs.edit_distance import ged_within
+from ..graphs.edit_distance import ged_within, prepare_query
 from ..graphs.model import Graph
 from .base import FilterResult, RangeQueryMethod
 
@@ -24,9 +24,10 @@ class LinearScan(RangeQueryMethod):
             raise ValueError("query graph must not be empty")
         if tau < 0:
             raise ValueError("tau must be non-negative")
+        prepared = prepare_query(query)
         matches: List[object] = []
         for gid, graph in self.graphs.items():
-            if ged_within(query, graph, int(tau)):
+            if ged_within(query, graph, int(tau), prepared=prepared):
                 matches.append(gid)
         return FilterResult(
             candidates=matches,

@@ -36,7 +36,7 @@ from ..obs.trace import Trace
 from ..perf.parallel import chunk_evenly, effective_workers, fan_out
 from ..resilience.faults import FaultPlan
 from ..resilience.pool import ResiliencePolicy
-from .index import GraphMeta, TwoLevelIndex
+from .index import ChangeSet, GraphMeta, TwoLevelIndex
 from .plan import QueryResult, QuerySession, traced_scope
 from .stats import QueryStats
 from .ta_search import TopKResult, top_k_stars
@@ -139,6 +139,10 @@ class SegosIndex:
         self._disk_source = None
         self._persist_journal: List = []
         self._journal_overflow = False
+        # The embed tier's snapshot (see embeddings()) and the gids added,
+        # removed or updated since it was taken.
+        self._embeddings = None
+        self._graph_changes = ChangeSet(self.index.generation)
         if graphs:
             for gid, graph in graphs.items():
                 self.add(gid, graph)
@@ -205,15 +209,31 @@ class SegosIndex:
                 f"(use string ids)"
             )
         stored = graph.copy()
+        self._record_change(gid)
         self.index.add_graph(gid, stored, decompose(stored))
         self._graphs[gid] = stored
         self._record_persist_op("add", gid)
 
     def remove(self, gid: object) -> None:
         """Delete a graph from the index."""
+        self._record_change(gid)
         self.index.remove_graph(gid)
         del self._graphs[gid]
         self._record_persist_op("remove", gid)
+
+    def _record_change(self, gid: object) -> None:
+        """Note *gid* for the next :meth:`embeddings` patch.
+
+        Mutators call this before they touch the index or the graph, so a
+        mutation that fails half way still has its graph re-embedded.  The
+        record never names more ids than the engine holds graphs: when it
+        reaches that size it is swapped for one that matches no snapshot,
+        and the next :meth:`embeddings` builds afresh.
+        """
+        ids = self._graph_changes.ids
+        ids.add(gid)
+        if len(ids) >= len(self._graphs):
+            self._graph_changes = ChangeSet(-1)
 
     # ------------------------------------------------------------------
     # Update kinds 3–7: in-place mutations (Section IV-C)
@@ -224,6 +244,7 @@ class SegosIndex:
     def _apply_mutation(self, gid: object, touched: Sequence[int], mutate) -> None:
         """Swap the stars of *touched* vertices around a mutation callback."""
         graph = self.graph(gid)
+        self._record_change(gid)
         before = self._affected_stars(graph, touched)
         mutate(graph)
         after = self._affected_stars(graph, touched)
@@ -273,44 +294,57 @@ class SegosIndex:
     def embeddings(self, stats: Optional[QueryStats] = None):
         """The per-graph embedding vectors of the ``embed`` filter tier.
 
-        Cached on the index object keyed by its generation counter (same
-        discipline as the columnar snapshot, and cached in the same place).
-        Mapped engines reuse the ``.segosx`` embedding sections zero-copy;
-        a stale sidecar written before those sections existed degrades
-        **loudly** — a :class:`~repro.resilience.telemetry.DegradationEvent`
-        lands in *stats* — to an on-the-fly build from the graph store.
+        Cached on the engine and keyed by the index generation counter.
+        After mutations the cached snapshot is patched: only the gids
+        added, removed or updated since it was taken are re-embedded
+        (:meth:`~repro.perf.columnar.GraphEmbeddings.patched`).  Mapped
+        engines start from the ``.segosx`` embedding sections, zero-copy,
+        and patch those too, so a reopen that replays a delta re-embeds
+        only the replayed graphs.  A stale sidecar written before those
+        sections existed degrades **loudly** — a
+        :class:`~repro.resilience.telemetry.DegradationEvent` lands in
+        *stats* — to a build from the graph store.
         """
         from ..perf.columnar import GraphEmbeddings
 
-        generation = getattr(self.index, "generation", 0)
-        cached = getattr(self.index, "_graph_embeddings", None)
+        generation = self.index.generation
+        # Record first, snapshot second (see columnar_snapshot).
+        changes = self._graph_changes
+        cached = self._embeddings
+        if cached is None:
+            cached = self._sidecar_embeddings(stats)
         if cached is not None and cached.generation == generation:
+            self._embeddings = cached
             return cached
-        embeddings = None
-        disk = getattr(self.index, "_disk", None)
-        if disk is not None and not getattr(self.index, "promoted", False):
-            if disk.has_embeddings():
-                embeddings = disk.embeddings(generation)
-            elif stats is not None:
-                from ..resilience.telemetry import DegradationEvent
-
-                stats.degradations.append(
-                    DegradationEvent(
-                        point="embeddings.sidecar",
-                        stage="embed",
-                        cause="sidecar predates embedding sections",
-                        fallback="recompute",
-                    )
-                )
-        if embeddings is None:
+        if cached is not None and cached.generation == changes.base:
+            embeddings = cached.patched(self._graphs, changes.ids, generation)
+        else:
             embeddings = GraphEmbeddings.build(
                 list(self._graphs.items()), generation
             )
-        try:
-            self.index._graph_embeddings = embeddings
-        except AttributeError:  # pragma: no cover - slotted stand-ins
-            pass
+        self._embeddings = embeddings
+        self._graph_changes = ChangeSet(generation)
         return embeddings
+
+    def _sidecar_embeddings(self, stats: Optional[QueryStats]):
+        """The mapped sidecar's embeddings at its base generation, if any."""
+        disk = getattr(self.index, "_disk", None)
+        if disk is None:
+            return None
+        if disk.has_embeddings():
+            return disk.embeddings(disk.header.base_generation)
+        if stats is not None:
+            from ..resilience.telemetry import DegradationEvent
+
+            stats.degradations.append(
+                DegradationEvent(
+                    point="embeddings.sidecar",
+                    stage="embed",
+                    cause="sidecar predates embedding sections",
+                    fallback="recompute",
+                )
+            )
+        return None
 
     def top_k_sub_units(self, star: Star, k: Optional[int] = None) -> TopKResult:
         """TA stage on its own: the k most SED-similar database stars."""
@@ -562,6 +596,8 @@ class SegosIndex:
         """Swap in mmap-backed index + graph store (load_index fast path)."""
         self.index = index
         self._graphs = graphs
+        self._embeddings = None
+        self._graph_changes = ChangeSet(index.generation)
         self._sync_disk_source(handle)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphAlreadyIndexed, GraphNotIndexed, IndexCorruptionError
 from ..graphs.model import Graph
@@ -56,6 +56,25 @@ class LowerEntry:
     sid: int
     freq: int
     leaf_size: int
+
+
+class ChangeSet:
+    """Ids changed since the snapshot of generation :attr:`base` was taken.
+
+    The snapshot caches of :mod:`repro.perf.columnar` patch the snapshot of
+    generation ``base`` with these ids instead of rebuilding it, then start
+    a fresh set at the new generation.  A set, not a log, so it holds each
+    id at most once.  Star ids are reused (from the catalog's free list,
+    or by resurrecting a dead star's row), so an index's record stays
+    within the largest its catalog has been; the engine caps its gid
+    record at the engine's size (``SegosIndex._record_change``).
+    """
+
+    __slots__ = ("base", "ids")
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self.ids: Set[object] = set()
 
 
 class StarCatalog:
@@ -124,8 +143,8 @@ class StarCatalog:
         return False
 
 
-# Sort keys are module-level functions (not lambdas) so indexes — and the
-# engines holding them — stay picklable for the process-pool paths.
+# Sort keys are module-level functions: the mapped index's promotion
+# (repro.perf.diskcat) fills these lists directly and shares the keys.
 def _upper_sort_key(entry: UpperEntry) -> Tuple[int, str]:
     return (entry.order, str(entry.gid))
 
@@ -343,8 +362,10 @@ class TwoLevelIndex:
         #: Monotone mutation counter.  All seven §IV-C update kinds funnel
         #: through the three mutators below, each of which bumps this; the
         #: columnar snapshot (:mod:`repro.perf.columnar`) keys its cache on
-        #: it so catalog mirrors are rebuilt lazily, only after a change.
+        #: it, so the mirror is patched only after a change.
         self.generation = 0
+        #: Star ids created or retired since the cached columnar snapshot.
+        self.star_changes = ChangeSet(0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -409,6 +430,7 @@ class TwoLevelIndex:
             star = self.catalog.star(sid)
             if self.catalog.release(sid, counts[sid]):
                 self.lower.remove_star(sid, star)
+                self.star_changes.ids.add(sid)
         meta = self._meta.pop(gid)
         self._max_degree_hist[meta.max_degree] -= 1
         if self._max_degree_hist[meta.max_degree] == 0:
@@ -448,6 +470,7 @@ class TwoLevelIndex:
                 self.upper.add(sid, gid, counts[sid], new_meta.order)
             if self.catalog.release(sid):
                 self.lower.remove_star(sid, star)
+                self.star_changes.ids.add(sid)
 
         self._apply_additions(gid, added)
 
@@ -470,6 +493,7 @@ class TwoLevelIndex:
             sid, created = self.catalog.acquire(star)
             if created:
                 self.lower.add_star(sid, star)
+                self.star_changes.ids.add(sid)
             if counts[sid]:
                 self.upper.remove(sid, gid)
             counts[sid] += 1

@@ -301,7 +301,8 @@ def _attach_mapped(
     wrapper = diskcat.MappedTwoLevelIndex(disk)
     # Seed the kernel snapshot with the zero-copy mapped columns.  It is
     # keyed to the *base* generation: delta replay below bumps the
-    # counter, so a post-replay query transparently rebuilds it.
+    # counter, and the first query after it patches the snapshot with
+    # the stars the replay created or retired.
     wrapper._columnar_snapshot = disk.columnar(wrapper.generation)
     engine = SegosIndex(config=config)
     engine._attach_mapped_storage(wrapper, store, None)
@@ -414,12 +415,20 @@ def save_index(
 
     # Text first (atomic), sidecar second: a crash in between leaves the
     # sidecar pointing at the old hash — stale, so load falls back.
-    pairs = [(gid, engine.graph(gid)) for gid in engine.gids()]
+    store = engine._graphs
+    unparsed = isinstance(store, diskcat.LazyGraphStore)
     tmp = f"{path_str}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(_header_line(engine))
-            gio.write_graphs(handle, pairs)
+            for gid in engine.gids():
+                # A mapped graph no query or mutation has parsed is copied
+                # as text, unparsed.
+                text = store.unparsed_text(gid) if unparsed else None
+                if text is None:
+                    gio.write_graphs(handle, [(gid, engine.graph(gid))])
+                else:
+                    handle.write(text)
             # The temp file must be durable *before* the rename publishes
             # it — otherwise a power cut can expose a zero-length text.
             guarded_fsync(
@@ -457,6 +466,7 @@ def save_index(
             delta_ops=total,
         )
     else:
+        pairs = [(gid, engine.graph(gid)) for gid in engine.gids()]
         diskcat.write_sidecar(
             sidecar,
             pairs,

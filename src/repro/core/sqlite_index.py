@@ -41,7 +41,7 @@ from ..errors import (
 )
 from ..graphs.model import Graph
 from ..graphs.star import Star
-from .index import GraphMeta, LowerEntry, UpperEntry, order_cut
+from .index import ChangeSet, GraphMeta, LowerEntry, UpperEntry, order_cut
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS stars (
@@ -273,6 +273,9 @@ class SqliteTwoLevelIndex:
         #: Mutation counter mirroring :attr:`TwoLevelIndex.generation`; the
         #: columnar snapshot cache keys on it (see repro.perf.columnar).
         self.generation = 0
+        #: Star ids created, resurrected or retired since the cached
+        #: columnar snapshot.
+        self.star_changes = ChangeSet(0)
 
     def close(self) -> None:
         self._conn.close()
@@ -355,6 +358,7 @@ class SqliteTwoLevelIndex:
         return sid
 
     def _insert_leaves(self, sid: int, star: Star) -> None:
+        self.star_changes.ids.add(sid)
         self._conn.executemany(
             "INSERT INTO star_leaves (sid, label, freq) VALUES (?, ?, ?)",
             [(sid, label, freq) for label, freq in Counter(star.leaves).items()],
@@ -372,6 +376,7 @@ class SqliteTwoLevelIndex:
         if row[0] == count:
             # Op4: dead star — drop its lower-level postings.
             self._conn.execute("DELETE FROM star_leaves WHERE sid = ?", (sid,))
+            self.star_changes.ids.add(sid)
 
     # ------------------------------------------------------------------
     # Graph updates (mirrors TwoLevelIndex)

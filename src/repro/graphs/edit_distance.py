@@ -112,6 +112,10 @@ def graph_edit_distance(
     >>> graph_edit_distance(a, b)
     1
     """
+    # The root bound settles most "λ > τ" pairs before any search state
+    # is built.
+    if threshold is not None and trivial_lower_bound(g1, g2) > threshold:
+        return None
     if prepared is None or prepared.graph is not g1:
         prepared = prepare_query(g1)
     order1 = prepared.order1
@@ -174,11 +178,8 @@ def graph_edit_distance(
         return cost
 
     if n1 == 0:
-        # Nothing to map: insert all of g2.
-        total = n2 + g2.size
-        if threshold is not None and total > threshold:
-            return None
-        return total
+        # Nothing to map: insert all of g2 (the root bound checked τ).
+        return n2 + g2.size
 
     # A* over partial mappings.  State: (f, tiebreak, g_cost, depth,
     # used_mask, mapping) where mapping[i] is the g2 *position* or -1 for ε.
@@ -187,8 +188,6 @@ def graph_edit_distance(
     # costs, so this is a plain tree-search A*.
     counter = itertools.count()
     start_h = heuristic(0, 0)
-    if threshold is not None and start_h > threshold:
-        return None
     heap: List[Tuple[int, int, int, int, int, Tuple[int, ...]]] = [
         (start_h, next(counter), 0, 0, 0, ())
     ]

@@ -21,9 +21,13 @@ catalog anyway.  This module provides that layout for SEGOS:
 
 Snapshots are immutable.  Coherence with the live index is by *generation
 counter*: every §IV-C update bumps ``index.generation`` (all seven update
-kinds funnel through three mutators) and :func:`columnar_snapshot` rebuilds
-lazily on the next query that needs the mirror.  Nothing is rebuilt while
-the index is only read.
+kinds funnel through three mutators), and the mutators record the star ids
+they create or retire in ``index.star_changes``.  On the next query that
+needs the mirror, :func:`columnar_snapshot` patches the cached snapshot:
+only the changed stars are re-columnarised, and the rest of the rows are
+carried over in a few O(n) numpy passes.  Nothing is patched while the
+index is only read.  :class:`GraphEmbeddings` follows the engine's graphs
+the same way (:meth:`GraphEmbeddings.patched`).
 
 On top of the snapshot, :meth:`ColumnarCatalog.sed_against_all` evaluates
 Lemma 1 in the ``2·max(|L_q|, |L_i|) − min(|L_q|, |L_i|) − ψ`` form (plus
@@ -39,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import IndexCorruptionError
 from ..graphs.star import Star, sed_from_psi
 
 try:  # numpy is an optional [perf] extra; everything degrades without it
@@ -50,6 +55,51 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 def numpy_available() -> bool:
     """True when the vectorized kernels can run (numpy importable)."""
     return _np is not None
+
+
+def _patchable(column) -> bool:
+    return _np is not None and isinstance(column, _np.ndarray)
+
+
+def _segments(offsets, rows):
+    """Positions of the CSR segments of *rows*, concatenated in *rows* order."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    ends = _np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    shift = _np.repeat(starts - ends + lengths, lengths)
+    return _np.arange(total, dtype=_np.int64) + shift
+
+
+def _interleave(kept_pos, fresh_pos, kept_values, fresh_values):
+    """One int64 column with *kept_values* and *fresh_values* at their rows."""
+    out = _np.empty(len(kept_pos) + len(fresh_pos), dtype=_np.int64)
+    out[kept_pos] = kept_values
+    out[fresh_pos] = fresh_values
+    return out
+
+
+def _offsets(lengths):
+    out = _np.zeros(len(lengths) + 1, dtype=_np.int64)
+    _np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _revocabulary(label_to_id: Dict[str, int], used_ids, fresh_labels):
+    """The vocabulary after a patch, and the old-id → new-id map.
+
+    Old labels stay only where a kept row still uses them (*used_ids*, a
+    boolean mask over old ids); *fresh_labels* join.  Ids are reassigned in
+    sorted label order, exactly as a fresh build interns them.
+    """
+    old_labels = sorted(label_to_id, key=label_to_id.__getitem__)
+    kept_ids = _np.flatnonzero(used_ids)
+    vocabulary = set(fresh_labels)
+    vocabulary.update(old_labels[i] for i in kept_ids)
+    new_to_id = {label: i for i, label in enumerate(sorted(vocabulary))}
+    remap = _np.full(len(old_labels), -1, dtype=_np.int64)
+    remap[kept_ids] = [new_to_id[old_labels[i]] for i in kept_ids]
+    return new_to_id, remap
 
 
 class ColumnarCatalog:
@@ -173,7 +223,7 @@ class ColumnarCatalog:
         )
 
     @classmethod
-    def from_mmap(
+    def from_columns(
         cls,
         generation: int,
         sids,
@@ -187,15 +237,14 @@ class ColumnarCatalog:
         label_to_id: Dict[str, int],
         max_sid: int,
     ) -> "ColumnarCatalog":
-        """Wrap already-mapped int64 columns without copying.
+        """Wrap already-built int64 columns without copying.
 
-        The caller (``repro.perf.diskcat``) hands in zero-copy views over
-        mapped pages — numpy ``frombuffer`` arrays, or ``memoryview.cast``
-        sequences under the pure-Python fallback — plus the precomputed
-        ``max_sid`` so nothing here walks the columns.  The kernels run
-        directly over the mapped pages; nothing is materialised until a
-        query touches it, and mapped pages are shared between processes
-        that open the same sidecar.
+        ``repro.perf.diskcat`` hands in zero-copy views over mapped pages
+        — numpy ``frombuffer`` arrays, or ``memoryview.cast`` sequences
+        under the pure-Python fallback — and :meth:`patched` its new
+        arrays, each with the precomputed ``max_sid`` so nothing here walks
+        the columns.  Over a sidecar the kernels run directly on the mapped
+        pages, which processes opening the same sidecar share.
         """
         snapshot = object.__new__(cls)
         snapshot.generation = generation
@@ -211,6 +260,91 @@ class ColumnarCatalog:
         snapshot.post_rows = post_rows
         snapshot.post_freqs = post_freqs
         return snapshot
+
+    def patched(self, index, changed, generation: int) -> "ColumnarCatalog":
+        """This snapshot advanced to *generation* of *index*.
+
+        *changed* holds every sid created or retired since this snapshot's
+        generation (``index.star_changes``).  Their rows are dropped and the
+        live ones re-read from the catalog; every other row is carried over,
+        with label ids remapped and the postings CSR re-derived in numpy.
+        The result equals :meth:`build` column for column.  Without numpy
+        this is a full :meth:`build`.
+        """
+        if not _patchable(self.sids):
+            return ColumnarCatalog.build(index, generation)
+        catalog = index.catalog
+        fresh: List[Tuple[int, Star]] = []
+        for sid in sorted(changed):
+            try:
+                fresh.append((sid, catalog.star(sid)))
+            except IndexCorruptionError:
+                continue  # retired and not re-created
+        changed_sids = _np.fromiter(changed, dtype=_np.int64, count=len(changed))
+        kept_rows = _np.flatnonzero(~_np.isin(self.sids, changed_sids))
+        kept_sids = self.sids[kept_rows]
+        fresh_sids = _np.array([sid for sid, _ in fresh], dtype=_np.int64)
+        # Both row sets ascend by sid: the fresh rows' final positions are
+        # their insertion points among the kept rows, shifted by their rank.
+        fresh_pos = _np.searchsorted(kept_sids, fresh_sids) + _np.arange(len(fresh))
+        is_fresh = _np.zeros(len(kept_rows) + len(fresh), dtype=bool)
+        is_fresh[fresh_pos] = True
+        kept_pos = _np.flatnonzero(~is_fresh)
+
+        kept_leaves = _segments(self.leaf_offsets, kept_rows)
+        used = _np.zeros(len(self.label_to_id), dtype=bool)
+        used[self.root_ids[kept_rows]] = True
+        used[self.leaf_ids[kept_leaves]] = True
+        fresh_labels = {star.root for _, star in fresh}
+        for _, star in fresh:
+            fresh_labels.update(star.leaves)
+        label_to_id, remap = _revocabulary(self.label_to_id, used, fresh_labels)
+
+        sids = _interleave(kept_pos, fresh_pos, kept_sids, fresh_sids)
+        root_ids = _interleave(
+            kept_pos,
+            fresh_pos,
+            remap[self.root_ids[kept_rows]],
+            [label_to_id[star.root] for _, star in fresh],
+        )
+        leaf_sizes = _interleave(
+            kept_pos,
+            fresh_pos,
+            self.leaf_sizes[kept_rows],
+            [star.leaf_size for _, star in fresh],
+        )
+        leaf_offsets = _offsets(leaf_sizes)
+        leaf_ids = _np.empty(int(leaf_offsets[-1]), dtype=_np.int64)
+        leaf_ids[_segments(leaf_offsets, kept_pos)] = remap[self.leaf_ids[kept_leaves]]
+        leaf_ids[_segments(leaf_offsets, fresh_pos)] = [
+            label_to_id[leaf] for _, star in fresh for leaf in star.leaves
+        ]
+
+        # The label-keyed postings: a stable sort by label keeps rows
+        # ascending, and a star's equal leaves stay adjacent, so each run
+        # of equal (label, row) pairs is one posting and its length the
+        # frequency.
+        rows = _np.repeat(_np.arange(len(sids), dtype=_np.int64), leaf_sizes)
+        by_label = _np.argsort(leaf_ids, kind="stable")
+        lids, rows = leaf_ids[by_label], rows[by_label]
+        starts = _np.flatnonzero(
+            (_np.diff(lids, prepend=-1) != 0) | (_np.diff(rows, prepend=-1) != 0)
+        )
+        post_freqs = _np.diff(_np.append(starts, len(lids)))
+        post_offsets = _offsets(_np.bincount(lids[starts], minlength=len(label_to_id)))
+        return ColumnarCatalog.from_columns(
+            generation,
+            sids,
+            root_ids,
+            leaf_sizes,
+            leaf_offsets,
+            leaf_ids,
+            post_offsets,
+            rows[starts],
+            post_freqs,
+            label_to_id,
+            int(sids[-1]) if len(sids) else 0,
+        )
 
     # ------------------------------------------------------------------
     # Kernels
@@ -321,7 +455,8 @@ class GraphEmbeddings:
 
     Rows follow the engine's gid order.  Like :class:`ColumnarCatalog`,
     snapshots are immutable and keyed by the index generation counter;
-    :meth:`from_mmap` wraps zero-copy views over ``.segosx`` sections.
+    :meth:`from_columns` wraps zero-copy views over ``.segosx`` sections,
+    and :meth:`patched` advances a snapshot past a batch of mutations.
     """
 
     __slots__ = (
@@ -400,7 +535,7 @@ class GraphEmbeddings:
         )
 
     @classmethod
-    def from_mmap(
+    def from_columns(
         cls,
         generation: int,
         gids,
@@ -411,7 +546,8 @@ class GraphEmbeddings:
         emb_counts,
         label_to_id: Dict[str, int],
     ) -> "GraphEmbeddings":
-        """Wrap already-mapped int64 columns without copying."""
+        """Wrap already-built int64 columns (mapped views or a patch's
+        arrays) without copying."""
         snapshot = object.__new__(cls)
         snapshot.generation = generation
         snapshot.n_graphs = len(orders)
@@ -423,6 +559,86 @@ class GraphEmbeddings:
         snapshot.emb_lids = emb_lids
         snapshot.emb_counts = emb_counts
         return snapshot
+
+    def patched(self, graphs, changed, generation: int) -> "GraphEmbeddings":
+        """These embeddings advanced to *generation* of the engine's *graphs*.
+
+        *graphs* is the engine's ``gid → Graph`` mapping, whose iteration
+        order is the row order; *changed* holds every gid added, removed
+        or updated since this snapshot's generation.  Only those graphs are
+        re-embedded (and only they are read from *graphs*); every other row
+        is carried over, with label ids remapped in numpy.  The result
+        equals :meth:`build` over ``graphs.items()`` column for column.
+        Without numpy this is a full :meth:`build`.
+        """
+        if not _patchable(self.orders):
+            return GraphEmbeddings.build(list(graphs.items()), generation)
+        old_row = {gid: row for row, gid in enumerate(self.gids)}
+        gids = list(graphs)
+        kept_pos: List[int] = []
+        kept_rows: List[int] = []
+        fresh_pos: List[int] = []
+        fresh = []
+        for pos, gid in enumerate(gids):
+            row = None if gid in changed else old_row.get(gid)
+            if row is None:
+                graph = graphs[gid]
+                fresh_pos.append(pos)
+                fresh.append(
+                    (graph, sorted(Counter(graph.label_multiset()).items()))
+                )
+            else:
+                kept_pos.append(pos)
+                kept_rows.append(row)
+        kept_rows_arr = _np.array(kept_rows, dtype=_np.int64)
+        kept_pos_arr = _np.array(kept_pos, dtype=_np.int64)
+        fresh_pos_arr = _np.array(fresh_pos, dtype=_np.int64)
+
+        kept_entries = _segments(self.emb_offsets, kept_rows_arr)
+        used = _np.zeros(len(self.label_to_id), dtype=bool)
+        used[self.emb_lids[kept_entries]] = True
+        label_to_id, remap = _revocabulary(
+            self.label_to_id,
+            used,
+            {label for _, counts in fresh for label, _ in counts},
+        )
+        lengths = _interleave(
+            kept_pos_arr,
+            fresh_pos_arr,
+            _np.diff(self.emb_offsets)[kept_rows_arr],
+            [len(counts) for _, counts in fresh],
+        )
+        emb_offsets = _offsets(lengths)
+        kept_at = _segments(emb_offsets, kept_pos_arr)
+        fresh_at = _segments(emb_offsets, fresh_pos_arr)
+        emb_lids = _np.empty(int(emb_offsets[-1]), dtype=_np.int64)
+        emb_lids[kept_at] = remap[self.emb_lids[kept_entries]]
+        emb_lids[fresh_at] = [
+            label_to_id[label] for _, counts in fresh for label, _ in counts
+        ]
+        emb_counts = _np.empty(len(emb_lids), dtype=_np.int64)
+        emb_counts[kept_at] = self.emb_counts[kept_entries]
+        emb_counts[fresh_at] = [freq for _, counts in fresh for _, freq in counts]
+        return GraphEmbeddings.from_columns(
+            generation,
+            gids,
+            _interleave(
+                kept_pos_arr,
+                fresh_pos_arr,
+                self.orders[kept_rows_arr],
+                [graph.order for graph, _ in fresh],
+            ),
+            _interleave(
+                kept_pos_arr,
+                fresh_pos_arr,
+                self.edges[kept_rows_arr],
+                [graph.size for graph, _ in fresh],
+            ),
+            emb_offsets,
+            emb_lids,
+            emb_counts,
+            label_to_id,
+        )
 
     def lower_bounds(self, query):
         """The embedding GED lower bound against every graph, in row order.
@@ -472,21 +688,39 @@ class GraphEmbeddings:
 
 
 def columnar_snapshot(index) -> Optional["ColumnarCatalog"]:
-    """The current columnar mirror of *index*, rebuilt lazily on mutation.
+    """The current columnar mirror of *index*, patched lazily on mutation.
 
     Returns ``None`` for index objects that do not expose a ``generation``
     counter (nothing in-tree — both backends do — but duck-typed stand-ins
-    used in tests may not).  The snapshot is cached on the index object
-    itself, so engines shipped to worker processes carry their mirror along.
+    used in tests may not).  The snapshot is cached on the index object.
+    When the index moved on, the cached snapshot is patched with the star
+    ids in ``index.star_changes`` if that record starts at the cached
+    generation, and rebuilt otherwise; the record then restarts.
     """
     generation = getattr(index, "generation", None)
     if generation is None:
         return None
+    # Read the record before the snapshot and publish the snapshot before
+    # the new record: a reader racing another then either patches from a
+    # matching pair or sees a mismatch and rebuilds.
+    changes = getattr(index, "star_changes", None)
     snapshot = getattr(index, "_columnar_snapshot", None)
-    if snapshot is None or snapshot.generation != generation:
+    if snapshot is not None and snapshot.generation == generation:
+        return snapshot
+    if (
+        snapshot is not None
+        and changes is not None
+        and changes.base == snapshot.generation
+    ):
+        snapshot = snapshot.patched(index, changes.ids, generation)
+    else:
         snapshot = ColumnarCatalog.build(index, generation)
-        try:
-            index._columnar_snapshot = snapshot
-        except AttributeError:  # pragma: no cover - slotted stand-ins
-            pass
+    try:
+        index._columnar_snapshot = snapshot
+        if changes is not None:
+            from ..core.index import ChangeSet
+
+            index.star_changes = ChangeSet(generation)
+    except AttributeError:  # pragma: no cover - slotted stand-ins
+        pass
     return snapshot

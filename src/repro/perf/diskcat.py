@@ -1233,7 +1233,7 @@ class DiskCatalog:
     def columnar(self, generation: int) -> ColumnarCatalog:
         """Zero-copy :class:`ColumnarCatalog` over the mapped columns."""
         n = self.n_stars
-        return ColumnarCatalog.from_mmap(
+        return ColumnarCatalog.from_columns(
             generation,
             self.ints("cat_sids"),
             self.ints("cat_root"),
@@ -1271,7 +1271,7 @@ class DiskCatalog:
         sections — callers check :meth:`has_embeddings` first and degrade
         to an on-the-fly build.
         """
-        return GraphEmbeddings.from_mmap(
+        return GraphEmbeddings.from_columns(
             generation,
             self.gid_list(),
             self.ints("g_order"),
@@ -1341,6 +1341,8 @@ class LazyGraphStore(MutableMapping):
         self._cache: Dict[str, Graph] = {}
         self._overlay: Dict[object, Graph] = {}
         self._removed: set = set()
+        # Kept by the mutators, so len() costs no walk of the overlay.
+        self._len = len(self._base)
 
     # -- parsing -------------------------------------------------------
     def parse_from_text(self, gid: str) -> Graph:
@@ -1358,6 +1360,25 @@ class LazyGraphStore(MutableMapping):
             )
         return parsed[0][1]
 
+    def unparsed_text(self, gid: object) -> Optional[str]:
+        """*gid*'s block of the graph file, if it was never parsed.
+
+        A base graph that was never parsed was never handed out, so it
+        cannot have been mutated in place, and its text still describes
+        it.  ``None`` for every other graph.
+        """
+        if (
+            gid not in self._base
+            or gid in self._removed
+            or gid in self._overlay
+            or gid in self._cache
+            or gid not in self._ranges
+        ):
+            return None
+        start, end = self._ranges[gid]
+        text = self._data[start:end].decode("utf-8")
+        return text if text.endswith("\n") else text + "\n"
+
     # -- MutableMapping ------------------------------------------------
     def __getitem__(self, gid: object) -> Graph:
         if gid in self._overlay:
@@ -1370,6 +1391,8 @@ class LazyGraphStore(MutableMapping):
         raise KeyError(gid)
 
     def __setitem__(self, gid: object, graph: Graph) -> None:
+        if gid not in self:
+            self._len += 1
         self._removed.discard(gid)
         self._overlay.pop(gid, None)  # re-insertion moves the key to the end
         self._overlay[gid] = graph
@@ -1379,6 +1402,7 @@ class LazyGraphStore(MutableMapping):
             del self._overlay[gid]
         elif gid not in self._base or gid in self._removed:
             raise KeyError(gid)
+        self._len -= 1
         # An overlay copy only shadowed the base copy; hide that one too.
         if gid in self._base:
             self._removed.add(gid)
@@ -1396,11 +1420,7 @@ class LazyGraphStore(MutableMapping):
         yield from self._overlay
 
     def __len__(self) -> int:
-        hidden = sum(
-            1 for gid in self._overlay if gid in self._base and gid not in self._removed
-        )
-        removed = sum(1 for gid in self._removed if gid in self._base)
-        return len(self._base) - removed - hidden + len(self._overlay)
+        return self._len
 
 
 # ---------------------------------------------------------------------------
@@ -1669,9 +1689,12 @@ class MappedTwoLevelIndex:
     """
 
     def __init__(self, disk: DiskCatalog) -> None:
+        from ..core.index import ChangeSet
+
         self._disk = disk
         self._inner = None  # type: Optional[object]
         self._generation = disk.header.base_generation
+        self._star_changes = ChangeSet(self._generation)
         self.catalog = _MappedCatalog(self)
         self.upper = _MappedUpper(self)
         self.lower = _MappedLower(self)
@@ -1691,6 +1714,24 @@ class MappedTwoLevelIndex:
             inner.generation = value
         else:
             self._generation = value
+
+    @property
+    def star_changes(self):
+        """Star ids created or retired since the cached columnar snapshot.
+
+        Promotion keeps the sidecar's sids, so the mapped columns stay a
+        valid patch base for the promoted index.
+        """
+        inner = self._inner
+        return inner.star_changes if inner is not None else self._star_changes
+
+    @star_changes.setter
+    def star_changes(self, value) -> None:
+        inner = self._inner
+        if inner is not None:
+            inner.star_changes = value
+        else:
+            self._star_changes = value
 
     @property
     def promoted(self) -> bool:
@@ -1715,6 +1756,7 @@ class MappedTwoLevelIndex:
             n = disk.n_stars
             index = TwoLevelIndex()
             index.generation = self._generation
+            index.star_changes = self._star_changes
 
             stars = [self.catalog.star(sid) for sid in range(n)]
             catalog = index.catalog

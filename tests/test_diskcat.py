@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -507,6 +508,23 @@ class TestLazyGraphStore:
             store[gid]
         with pytest.raises(KeyError):
             del store["never-there"]
+
+    def test_len_follows_mutations(self, saved):
+        _, _, path = saved
+        store = LazyGraphStore(str(path))
+        mirror = set(store)
+        pool = sorted(mirror) + ["x1", "x2", "x3"]
+        rng = random.Random(4)
+        for _ in range(200):
+            gid = rng.choice(pool)
+            if gid in mirror and rng.random() < 0.5:
+                del store[gid]
+                mirror.discard(gid)
+            else:
+                store[gid] = Graph(["z"])
+                mirror.add(gid)
+            assert len(store) == len(mirror)
+            assert set(store) == mirror
 
     def test_sha_mismatch_raises_stale(self, saved):
         _, _, path = saved

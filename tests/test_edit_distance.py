@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.linear import LinearScan
 from repro.errors import SearchBudgetExceeded
 from repro.graphs.edit_distance import (
     ged_within,
     graph_edit_distance,
     naive_upper_bound,
+    prepare_query,
     trivial_lower_bound,
 )
 from repro.graphs.generators import erdos_renyi
@@ -119,3 +123,48 @@ class TestCheapBounds:
         g1 = Graph(["a", "b"], [(0, 1)])  # 2 vertices + 1 edge
         g2 = Graph(["c"])  # 1 vertex
         assert naive_upper_bound(g1, g2) == 4
+
+
+@st.composite
+def small_graph(draw, max_order=4):
+    order = draw(st.integers(min_value=1, max_value=max_order))
+    graph = Graph([draw(st.sampled_from("abc")) for _ in range(order)])
+    for u in range(order):
+        for v in range(u + 1, order):
+            if draw(st.booleans()):
+                graph.add_edge(u, v)
+    return graph
+
+
+class TestRootBound:
+    """The ``threshold`` root check: ``trivial_lower_bound > τ`` returns
+    ``None`` before any search state is built."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        query=small_graph(),
+        graphs=st.lists(small_graph(), min_size=1, max_size=5),
+        tau=st.integers(min_value=0, max_value=4),
+    )
+    def test_linear_scan_is_exact(self, query, graphs, tau):
+        db = {f"g{i}": graph for i, graph in enumerate(graphs)}
+        got = LinearScan(db).range_query(query, tau=tau).candidates
+        assert got == [
+            gid for gid, graph in db.items() if graph_edit_distance(query, graph) <= tau
+        ]
+
+    @settings(deadline=None, max_examples=60)
+    @given(q=small_graph(), g=small_graph(), tau=st.integers(min_value=0, max_value=4))
+    def test_search_past_the_root_is_unchanged(self, q, g, tau):
+        exact = graph_edit_distance(q, g)
+        prepared, unprepared = {}, {}
+        got = graph_edit_distance(
+            q, g, threshold=tau, counters=prepared, prepared=prepare_query(q)
+        )
+        assert got == (exact if exact <= tau else None)
+        assert graph_edit_distance(q, g, threshold=tau, counters=unprepared) == got
+        if trivial_lower_bound(q, g) > tau:
+            assert prepared == unprepared == {}  # no search, nothing recorded
+        else:
+            assert prepared == unprepared
+            assert "expanded" in prepared

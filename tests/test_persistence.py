@@ -203,3 +203,33 @@ class TestHeaderHandling:
         )
         with pytest.raises(ParseError, match="invalid v2 #segos header"):
             load_index(path)
+
+
+def test_save_copies_unparsed_mapped_graphs_as_text(tmp_path, monkeypatch):
+    """A save of a mapped engine parses no graph it has not already parsed:
+    untouched graphs are copied as text, and they reload unchanged."""
+    from repro.perf import diskcat
+
+    graphs = {
+        f"g{i}": Graph(["a", "b", "c", "a"][: 2 + i % 3], [(0, 1)]) for i in range(9)
+    }
+    path = tmp_path / "db.segos"
+    save_index(SegosIndex(graphs, delta_compact=100.0), path)
+    mapped = load_index(path)
+    mapped.relabel_vertex("g0", 1, "z")  # parsed, then mutated in place
+    mapped.remove("g1")
+    mapped.add("g9", Graph(["z", "z"], [(0, 1)]))
+    parses = []
+    original = diskcat.LazyGraphStore.parse_from_text
+    monkeypatch.setattr(
+        diskcat.LazyGraphStore,
+        "parse_from_text",
+        lambda store, gid: parses.append(gid) or original(store, gid),
+    )
+    save_index(mapped, path)
+    assert mapped.disk_handle().delta_count == 1
+    assert parses == []
+    reloaded = load_index(path, mmap=False)
+    assert list(reloaded.gids()) == list(mapped.gids())
+    for gid in mapped.gids():
+        assert reloaded.graph(gid) == mapped.graph(gid), gid
