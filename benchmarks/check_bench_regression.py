@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Compare two bench-report JSONs and fail on timing regressions.
 
-Used by the CI chaos job as the zero-overhead proof for the resilience
-layer: a smoke bench run with the fault registry explicitly disabled must
-land within tolerance of the baseline run, or the "one truthiness test on
-the hot path" claim is broken::
+Used by the CI crash-torture job as the fsync overhead gate: an ingest
+smoke bench with ``fsync`` always on must land within a generous envelope
+of the run with ``fsync`` off::
 
-    python benchmarks/check_bench_regression.py baseline.json candidate.json \
-        --tolerance 0.05 --abs-floor 0.05
+    python benchmarks/check_bench_regression.py bench_ingest_never.json \
+        bench_ingest_always.json --tolerance 3.0 --abs-floor 0.5
 
 Every numeric leaf whose key starts with ``time_`` is compared; the
 candidate fails when it exceeds ``baseline * (1 + tolerance) + abs_floor``.

@@ -361,8 +361,6 @@ class SegosIndex:
         h: Optional[int] = None,
         verify: str = "none",
         partial_fraction: Optional[float] = None,
-        workers: Optional[int] = None,
-        timeout: Optional[float] = None,
         verify_workers: Optional[int] = None,
         verify_budget: Optional[int] = None,
         verify_deadline: Optional[float] = None,
@@ -379,14 +377,13 @@ class SegosIndex:
 
         Exact verification is scheduled through
         :func:`repro.core.verify.verify_candidates`: most-promising
-        candidates first, optionally fanned out over ``workers``
-        (= ``verify_workers``) processes.  ``verify_budget`` caps each A*
-        run's expanded states and ``timeout`` (= ``verify_deadline``,
-        seconds) stops scheduling new runs; candidates left undecided by
-        either stay in ``candidates`` but not ``matches``, and
-        ``verified`` turns False.  ``trace=True`` records a span tree for
-        this call (``result.trace``).  Every keyword is a per-call
-        :class:`~repro.config.EngineConfig` override.
+        candidates first, optionally fanned out over ``verify_workers``
+        processes.  ``verify_budget`` caps each A* run's expanded states
+        and ``verify_deadline`` (seconds) stops scheduling new runs;
+        candidates left undecided by either stay in ``candidates`` but not
+        ``matches``, and ``verified`` turns False.  ``trace=True`` records
+        a span tree for this call (``result.trace``).  Every keyword is a
+        per-call :class:`~repro.config.EngineConfig` override.
         """
         return self.session().range_query(
             query,
@@ -395,8 +392,6 @@ class SegosIndex:
             k=k,
             h=h,
             partial_fraction=partial_fraction,
-            workers=workers,
-            timeout=timeout,
             verify_workers=verify_workers,
             verify_budget=verify_budget,
             verify_deadline=verify_deadline,

@@ -53,7 +53,6 @@ from .plan import (
     QueryPlan,
     Stage,
     VerifyStage,
-    apply_call_aliases,
 )
 from .tiers import resolve_tier_chain
 from .stats import QueryStats
@@ -143,8 +142,6 @@ class PipelinedSegos:
         *,
         tau: float,
         verify: str = "none",
-        workers: Optional[int] = None,
-        timeout: Optional[float] = None,
         verify_workers: Optional[int] = None,
         verify_budget: Optional[int] = None,
         verify_deadline: Optional[float] = None,
@@ -157,23 +154,19 @@ class PipelinedSegos:
         :mod:`repro.core.verify` — bounds-first, most-promising candidates
         first, each A* capped by ``verify_budget`` so one pathological pair
         cannot hang a pipelined query, and optionally fanned out over
-        ``workers`` (= ``verify_workers``) processes.  A candidate left
-        undecided stays in ``candidates`` but not ``matches``, and
-        ``verified`` turns False.  All keywords are per-call
+        ``verify_workers`` processes.  A candidate left undecided stays in
+        ``candidates`` but not ``matches``, and ``verified`` turns False.
+        All keywords are per-call
         :class:`~repro.config.EngineConfig` overrides on top of the
         wrapped engine's resolved config.
         """
-        overrides = apply_call_aliases(
-            {
-                "workers": workers,
-                "timeout": timeout,
-                "verify_workers": verify_workers,
-                "verify_budget": verify_budget,
-                "verify_deadline": verify_deadline,
-                "trace": trace,
-            }
+        session = self.engine.session(
+            k=self.k,
+            verify_workers=verify_workers,
+            verify_budget=verify_budget,
+            verify_deadline=verify_deadline,
+            trace=trace,
         )
-        session = self.engine.session(k=self.k, **overrides)
         return self._run(session, query, tau, verify=verify)
 
     def _run(self, session, query: Graph, tau: float, *, verify: str) -> QueryResult:

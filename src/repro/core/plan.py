@@ -34,7 +34,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -137,41 +136,6 @@ class ExecutionContext:
             verified=self.verified,
             trace=self.trace,
         )
-
-
-#: Public per-call aliases for the tuning knobs: every query front-end
-#: accepts the short names and maps them onto the canonical
-#: :class:`EngineConfig` fields before overriding.
-CALL_ALIASES: Mapping[str, str] = {
-    "workers": "verify_workers",
-    "timeout": "verify_deadline",
-}
-
-
-def apply_call_aliases(
-    overrides: Dict[str, object],
-    aliases: Mapping[str, str] = CALL_ALIASES,
-) -> Dict[str, object]:
-    """Map public per-call aliases onto their canonical config fields.
-
-    ``workers=4`` becomes ``verify_workers=4`` (``batch_workers`` on the
-    batch front-ends) and ``timeout=2.5`` becomes ``verify_deadline=2.5``.
-    Passing both an alias and its canonical name is a ``TypeError`` — one
-    call must not say two different things about one knob.
-    """
-    resolved = dict(overrides)
-    for alias, canonical in aliases.items():
-        if alias not in resolved:
-            continue
-        value = resolved.pop(alias)
-        if value is None:
-            continue
-        if resolved.get(canonical) is not None:
-            raise TypeError(
-                f"pass either {alias!r} or {canonical!r}, not both"
-            )
-        resolved[canonical] = value
-    return resolved
 
 
 def resolve_tracer(config: EngineConfig) -> Tuple[object, bool]:
@@ -571,10 +535,8 @@ class QuerySession:
         per-call :class:`EngineConfig` fields (``k``, ``h``,
         ``partial_fraction``, ``verify_workers``, ``verify_budget``,
         ``verify_deadline``, ``trace``, ...) — the innermost layer of the
-        precedence chain — plus the public aliases ``workers``
-        (= ``verify_workers``) and ``timeout`` (= ``verify_deadline``).
+        precedence chain.
         """
-        overrides = apply_call_aliases(overrides)
         config = self.config.override(**overrides)
         ctx = self.context(query, tau, verify=verify, **overrides)
         return self.execute(self.plan(config=config), ctx).to_result()

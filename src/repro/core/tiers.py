@@ -1,44 +1,41 @@
-"""Composable filter tiers: the pluggable bound chain of the query path.
+"""Filter tiers: the bound chain of the query path.
 
-SEGOS is a filter-and-verify system, and until this module the filter
-stack was hard-wired: TA → CA → cold A*, spelled out across the plan,
-pipeline, and verify modules.  This module names each link of the chain
-as a **tier** — an object with a ``name``, a ``cost_class``, and a
-``lower_bound(query, state)`` — so the planner can compose any ordered
-subsequence of :data:`repro.config.FULL_TIER_CHAIN` and every future
-filter becomes a drop-in.
+SEGOS is a filter-and-verify system.  Each link of its filter stack is a
+**tier**, and ``EngineConfig.filter_tiers`` picks an ordered subsequence
+of :data:`repro.config.FULL_TIER_CHAIN`.
 
 The five tiers, cheapest first:
 
-``embed`` (constant)
+``embed``
     An EmbAssi-style label/degree embedding pre-filter: the admissible
     bound ``max(|V_q|, |V_g|) − |Ψ_q ∩ Ψ_g| + ||E_q| − |E_g||``
-    evaluated against *every* database graph in one vectorized sweep
+    (:func:`repro.graphs.edit_distance.trivial_lower_bound`) evaluated
+    against *every* database graph in one vectorized sweep
     (:class:`repro.perf.columnar.GraphEmbeddings`), before TA touches
     the index.  Graphs with a bound above τ are provable non-answers.
 
-``ta`` (index)
+``ta``
     The paper's top-k star search (Algorithm 2), producing the ordered
     candidate lists the CA scan consumes.
 
-``ca`` (index)
+``ca``
     The paper's count-aggregation scan with the ζ ≤ L_µ ≤ µ ≤ U_µ bound
     chain (see :mod:`repro.core.bounds`).
 
-``anchor`` (assignment)
+``anchor``
     An anchored assignment bound ahead of exact verification (after
     Chang et al.'s anchor-aware GED bounds): one linear-assignment solve
     over per-vertex label/degree costs yields a lower bound that prunes,
     *and* anchors a concrete vertex mapping whose edit cost is an upper
     bound that can settle a candidate as a match without running A*.
 
-``verify`` (exact)
+``verify``
     Threshold-pruned exact A*, Nass-style: candidates of one query share
     the hoisted query-side search state
     (:class:`repro.graphs.edit_distance.PreparedQuery`) instead of each
     run starting cold.
 
-Tier *bounds* live here; tier *execution* is a
+The anchor bounds live here; tier *execution* is a
 :class:`repro.core.plan.Stage` per tier, resolved from
 ``EngineConfig.filter_tiers`` by :meth:`repro.core.plan.QueryPlan.from_tiers`.
 
@@ -50,52 +47,19 @@ tiers never changes the match set — only how early non-answers die.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..config import DEFAULT_FILTER_TIERS, FULL_TIER_CHAIN, validate_filter_tiers
-from ..graphs.edit_distance import trivial_lower_bound
+from ..config import DEFAULT_FILTER_TIERS, validate_filter_tiers
 from ..graphs.model import Graph
 from ..matching.mapping import edit_cost_under_mapping
 from ..perf.assignment import solve_assignment
 
 __all__ = [
     "AnchorTier",
-    "COST_CLASSES",
-    "EmbedTier",
-    "FilterTier",
     "anchor_bounds",
     "anchor_cost_matrix",
     "resolve_tier_chain",
 ]
-
-#: Tier name → cost class, cheapest first.  ``constant`` is per-graph
-#: O(labels); ``index`` walks the two-level index; ``assignment`` pays one
-#: Hungarian solve per surviving candidate; ``exact`` is A*.
-COST_CLASSES: Dict[str, str] = {
-    "embed": "constant",
-    "ta": "index",
-    "ca": "index",
-    "anchor": "assignment",
-    "verify": "exact",
-}
-assert tuple(COST_CLASSES) == FULL_TIER_CHAIN
-
-
-class FilterTier(Protocol):
-    """The tier contract: a named, costed GED lower bound.
-
-    ``lower_bound(query, state)`` returns a value ≤ the exact graph edit
-    distance between *query* and the candidate *state* describes; the
-    state's type is tier-specific (a :class:`~repro.graphs.model.Graph`
-    for the pairwise tiers, a CA :class:`~repro.core.bounds.SeenGraph`
-    for the aggregation tier).
-    """
-
-    name: str
-    cost_class: str
-
-    def lower_bound(self, query: Graph, state) -> float:
-        ...
 
 
 def resolve_tier_chain(tiers=None) -> Tuple[str, ...]:
@@ -103,27 +67,6 @@ def resolve_tier_chain(tiers=None) -> Tuple[str, ...]:
     if tiers is None:
         return DEFAULT_FILTER_TIERS
     return validate_filter_tiers(tiers)
-
-
-# ---------------------------------------------------------------------------
-# embed: the label/degree embedding pre-filter
-# ---------------------------------------------------------------------------
-
-class EmbedTier:
-    """Constant-time embedding pre-filter (pairwise form).
-
-    The batch form — one vectorized sweep over the precomputed
-    embedding columns — lives in
-    :meth:`repro.perf.columnar.GraphEmbeddings.lower_bounds`; this
-    pairwise form is the executable specification the soundness test
-    compares both against.
-    """
-
-    name = "embed"
-    cost_class = COST_CLASSES["embed"]
-
-    def lower_bound(self, query: Graph, state: Graph) -> float:
-        return float(trivial_lower_bound(query, state))
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +143,10 @@ def anchor_bounds(
 
 
 class AnchorTier:
-    """Assignment-anchored lower bound ahead of exact A*."""
-
-    name = "anchor"
-    cost_class = COST_CLASSES["anchor"]
+    """Assignment-anchored ``(lower, upper)`` bounds ahead of exact A*."""
 
     def __init__(self, backend: Optional[str] = None) -> None:
         self.backend = backend
-
-    def lower_bound(self, query: Graph, state: Graph) -> float:
-        lower, _ = anchor_bounds(query, state, backend=self.backend)
-        return float(lower)
 
     def bounds(self, query: Graph, state: Graph) -> Tuple[int, int]:
         return anchor_bounds(query, state, backend=self.backend)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
+    ENV_FAULT_PLAN,
     ENV_METRICS,
     ENV_TRACE,
     ENV_TRACE_PATH,
@@ -24,6 +25,7 @@ from repro.config import (
 from repro.core.engine import SegosIndex
 from repro.core.knn import knn_query
 from repro.core.join import similarity_self_join
+from repro.core.persistence import save_index
 from repro.core.pipeline import PipelinedSegos
 from repro.graphs.model import Graph
 from repro.obs import (
@@ -420,6 +422,44 @@ class TestObsKnobs:
         assert EngineConfig.from_env(trace=False).trace is False
         monkeypatch.delenv(ENV_TRACE)
         assert EngineConfig.from_env(trace=True).trace is True
+
+
+class TestObsOffIsFree:
+    def test_off_builds_no_tracer_and_records_no_metrics(
+        self, monkeypatch, corpus, tmp_path
+    ):
+        """Disabled observability does no work at all: every query mode
+        and a save carry the shared null tracer and leave the global
+        metrics registry untouched."""
+        for env in (ENV_TRACE, ENV_TRACE_PATH, ENV_METRICS, ENV_FAULT_PLAN):
+            monkeypatch.delenv(env, raising=False)
+        built = []
+        init = Tracer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tracer, "__init__", counting_init)
+        engine = build_engine(corpus[:12])
+        assert not engine.config.trace and not engine.config.metrics
+        query, other = corpus[0][1], corpus[1][1]
+        before = GLOBAL_METRICS.snapshot()
+
+        engine.range_query(query, tau=2, verify="exact")
+        engine.batch_range_query([query, other], tau=2, verify="exact")
+        PipelinedSegos(engine).range_query(query, tau=2, verify="exact")
+        knn_query(engine, query, k=2)
+        similarity_self_join(engine, tau=1, verify="exact")
+        save_index(engine, tmp_path / "db.segos")
+        assert built == []
+        assert GLOBAL_METRICS.snapshot() == before
+
+        # The probes are live: switching either knob on shows up in them.
+        engine.range_query(query, tau=2, trace=True)
+        assert len(built) == 1
+        build_engine(corpus[:2], metrics=True).range_query(query, tau=2)
+        assert GLOBAL_METRICS.snapshot() != before
 
 
 # ----------------------------------------------------------------------

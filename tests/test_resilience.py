@@ -20,13 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EngineConfig
+from repro.config import ENV_FAULT_PLAN, ENV_METRICS, ENV_TRACE, EngineConfig
 from repro.core.engine import SegosIndex
+from repro.core.persistence import load_index, save_index
 from repro.core.stats import QueryStats
 from repro.core.verify import verify_candidates
 from repro.datasets import aids_like, sample_queries
 from repro.errors import PoolBrokenError, ReproError, WorkerTimeout
 from repro.graphs.model import Graph
+from repro.perf.diskcat import default_sidecar_path, read_header
 from repro.resilience import (
     EMPTY_PLAN,
     DegradationEvent,
@@ -197,6 +199,8 @@ class TestConfigKnobs:
         assert config.fault_plan == "pool.spawn"
         config = EngineConfig.from_env(task_timeout=1.0, fault_plan=None)
         assert config.task_timeout == 1.0
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "")
+        assert EngineConfig.from_env().fault_plan is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -583,6 +587,50 @@ class TestSingleFaultProperty:
         assert report.rejected == baseline.rejected
         assert not report.undecided
         assert report.degradations, f"fault {spec!r} left no telemetry"
+
+
+class TestNoPlanIsFree:
+    def test_no_rule_is_consulted_without_a_plan(self, monkeypatch, corpus, tmp_path):
+        """With no fault plan the injection points cost one truthiness
+        test: a range query, a pooled batch on a loaded engine and a
+        delta save never look at a single rule."""
+        for env in (ENV_FAULT_PLAN, ENV_TRACE, ENV_METRICS):
+            monkeypatch.delenv(env, raising=False)
+        fired, consulted = [], []
+        fire, matches = FaultPlan.fire, FaultRule.matches
+
+        def counting_fire(self, point, **kwargs):
+            fired.append(point)
+            return fire(self, point, **kwargs)
+
+        def counting_matches(self, point, task, stage):
+            consulted.append(point)
+            return matches(self, point, task, stage)
+
+        monkeypatch.setattr(FaultPlan, "fire", counting_fire)
+        monkeypatch.setattr(FaultRule, "matches", counting_matches)
+        graphs, queries = corpus
+        path = tmp_path / "db.segos"
+        save_index(SegosIndex(graphs), path)
+        engine = load_index(path)
+        assert engine.config.fault_plan is None
+
+        engine.range_query(queries[0], tau=2, verify="exact")
+        pooled = engine.batch_range_query(queries, tau=2, workers=2)
+        assert pooled[0].stats.degradations == []
+        engine.remove(sorted(engine.gids())[0])
+        save_index(engine, path)
+        assert read_header(default_sidecar_path(path)).delta_count == 1
+        # The pool and the save passed their injection points ...
+        assert {"pool.spawn", "io.write", "io.fsync"} <= set(fired)
+        # ... and not one of them looked at a rule.
+        assert consulted == []
+
+        # The probe is live: a plan naming no real site is consulted.
+        monkeypatch.setenv(ENV_FAULT_PLAN, "io.fsync:stage=nowhere")
+        engine.remove(sorted(engine.gids())[0])
+        save_index(engine, path)
+        assert "io.fsync" in consulted
 
 
 # ----------------------------------------------------------------------

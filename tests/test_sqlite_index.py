@@ -158,6 +158,7 @@ class TestEngineOnSqlite:
             a = mem.range_query(query, tau=tau, verify="exact")
             b = sql.range_query(query, tau=tau, verify="exact")
             assert a.matches == b.matches
+            assert set(a.candidates) == set(b.candidates)
 
     def test_updates_via_engine(self, corpus):
         sql = SegosIndex(corpus, backend="sqlite")

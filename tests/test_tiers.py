@@ -44,13 +44,8 @@ from repro.core.pipeline import PipelinedSegos
 from repro.core.plan import EmbedStage, make_context
 from repro.core.stats import QueryStats
 from repro.core.subsearch import SubgraphSearch
-from repro.core.tiers import (
-    COST_CLASSES,
-    AnchorTier,
-    EmbedTier,
-    anchor_bounds,
-    resolve_tier_chain,
-)
+from repro.core.tiers import anchor_bounds, resolve_tier_chain
+from repro.datasets import sample_queries
 from repro.graphs.edit_distance import graph_edit_distance, trivial_lower_bound
 from repro.graphs.model import Graph
 from repro.perf.columnar import GraphEmbeddings
@@ -95,7 +90,7 @@ class TestTierSoundness:
     @given(q=graph_st(), g=graph_st())
     def test_embed_bound_is_admissible(self, q, g):
         ged = graph_edit_distance(q, g)
-        assert EmbedTier().lower_bound(q, g) <= ged
+        assert trivial_lower_bound(q, g) <= ged
 
     @settings(deadline=None, max_examples=40)
     @given(q=graph_st(), g=graph_st())
@@ -105,11 +100,10 @@ class TestTierSoundness:
         assert lower <= ged <= upper
 
     @settings(deadline=None, max_examples=40)
-    @given(q=graph_st(), g=graph_st())
-    def test_anchor_identity_settles_immediately(self, q, g):
+    @given(q=graph_st())
+    def test_anchor_identity_settles_immediately(self, q):
         lower, upper = anchor_bounds(q, q)
         assert lower == upper == 0
-        assert AnchorTier().lower_bound(q, g) == anchor_bounds(q, g)[0]
 
     @settings(
         deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
@@ -162,7 +156,7 @@ class TestTierSoundness:
         want = QueryStats()
         excluded = set()
         for i, graph in enumerate(corpus):
-            bound = EmbedTier().lower_bound(query, graph)
+            bound = float(trivial_lower_bound(query, graph))
             want.record_tier_bound("embed", bound)
             if bound > tau:
                 want.count_prune("embed")
@@ -194,6 +188,46 @@ class TestChainIdentity:
         assert sorted(map(str, lhs.matches)) == sorted(map(str, rhs.matches))
         # Extra tiers may shrink the candidate pool but never the answers.
         assert set(map(str, rhs.candidates)) <= set(map(str, lhs.candidates))
+        # ... and they never add work: embed keeps graphs out of CA's full
+        # µ computations and anchor settles candidates before A*.
+        assert rhs.stats.astar_runs <= lhs.stats.astar_runs
+        assert (
+            rhs.stats.full_mapping_computations
+            <= lhs.stats.full_mapping_computations
+        )
+
+    def test_extra_tiers_save_work(self, small_aids, small_pdg):
+        # Seeded aids/pdg queries one and three edits from a database
+        # graph, τ 1–3: every chain gives the same answers, and in total
+        # the full chain runs strictly fewer A* searches and full µ
+        # computations than the paper chain.  Each extra tier pays on its
+        # own: embed is the only tier ahead of CA, so the µ saving is
+        # its; dropping anchor alone must cost A* runs.
+        chains = {
+            "paper": PAPER_FILTER_TIERS,
+            "no anchor": "embed,ta,ca,verify",
+            "full": FULL,
+        }
+        astar = dict.fromkeys(chains, 0)
+        mu = dict.fromkeys(chains, 0)
+        for data in (small_aids, small_pdg):
+            engines = {
+                name: SegosIndex(data.graphs, filter_tiers=chain)
+                for name, chain in chains.items()
+            }
+            for edits in (1, 3):
+                for query in sample_queries(data, 6, seed=7, edits=edits):
+                    for tau in (1, 2, 3):
+                        answers = set()
+                        for name, engine in engines.items():
+                            result = engine.range_query(query, tau=tau, verify="exact")
+                            answers.add(frozenset(result.matches))
+                            astar[name] += result.stats.astar_runs
+                            mu[name] += result.stats.full_mapping_computations
+                        assert len(answers) == 1
+        assert astar["full"] < astar["paper"], astar
+        assert mu["full"] < mu["paper"], mu
+        assert astar["full"] < astar["no anchor"], astar
 
     @settings(
         deadline=None, max_examples=10, suppress_health_check=[HealthCheck.too_slow]
@@ -262,7 +296,6 @@ class TestTierConfig:
         assert EngineConfig().filter_tiers == FULL_TIER_CHAIN
         assert DEFAULT_FILTER_TIERS == FULL_TIER_CHAIN
         assert resolve_tier_chain() == DEFAULT_FILTER_TIERS
-        assert tuple(COST_CLASSES) == FULL_TIER_CHAIN
         assert PAPER_FILTER_TIERS == ("ta", "ca", "verify")
 
     def test_accepts_comma_string_and_iterable(self):
