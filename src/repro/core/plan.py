@@ -49,7 +49,7 @@ from .ca_search import ca_range_query
 from .graph_lists import QueryStarLists, build_all_lists
 from .stats import QueryStats, WallClock
 from .ta_search import TopKResult
-from .tiers import AnchorTier, resolve_tier_chain
+from .tiers import anchor_bounds, resolve_tier_chain
 from .verify import verify_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us)
@@ -303,13 +303,15 @@ class AnchorStage(Stage):
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
         if not ctx.candidates:
             return ctx
-        tier = AnchorTier(ctx.config.assignment_backend)
+        backend = ctx.config.assignment_backend
         survivors: List[object] = []
         for gid in ctx.candidates:
             if gid in ctx.confirmed:
                 survivors.append(gid)
                 continue
-            lower, upper = tier.bounds(ctx.query, ctx.engine._graphs[gid])
+            lower, upper = anchor_bounds(
+                ctx.query, ctx.engine._graphs[gid], backend=backend
+            )
             ctx.stats.record_tier_bound("anchor", float(lower))
             if lower > ctx.tau:
                 ctx.stats.count_prune("anchor")

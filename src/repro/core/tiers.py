@@ -143,7 +143,12 @@ def anchor_bounds(
 
 
 class AnchorTier:
-    """Assignment-anchored ``(lower, upper)`` bounds ahead of exact A*."""
+    """:func:`anchor_bounds` bound to one assignment backend.
+
+    The engine calls :func:`anchor_bounds` directly; this class remains
+    only because ``perfbench/layers.py`` imports it, and goes when that
+    import does.
+    """
 
     def __init__(self, backend: Optional[str] = None) -> None:
         self.backend = backend

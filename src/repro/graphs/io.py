@@ -68,22 +68,40 @@ def iter_graphs(stream: TextIO, *, strict: bool = True) -> Iterator[Tuple[str, G
     """
     current: Graph | None = None
     current_id: str | None = None
-
-    def flush() -> Iterator[Tuple[str, Graph]]:
-        nonlocal current, current_id
-        if current is not None:
-            assert current_id is not None
-            yield current_id, current
-        current, current_id = None, None
-
+    # Bound once per graph: the record loop below is the hot path of every
+    # lazy graph load, so it splits each line once and strips it only to
+    # quote it in an error.
+    add_vertex = add_edge = None
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
-        if kind == "t":
-            yield from flush()
+        if kind == "e":
+            if current is None:
+                raise ParseError("edge record before any graph header", lineno)
+            if len(tokens) != 3 and (strict or len(tokens) < 3):
+                raise ParseError(f"malformed edge record {raw.strip()!r}", lineno)
+            try:
+                u, v = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ParseError(
+                    f"non-integer edge endpoint in {raw.strip()!r}", lineno
+                ) from None
+            add_edge(u, v)
+        elif kind == "v":
+            if current is None:
+                raise ParseError("vertex record before any graph header", lineno)
+            if len(tokens) < 3:
+                raise ParseError(f"malformed vertex record {raw.strip()!r}", lineno)
+            try:
+                vid = int(tokens[1])
+            except ValueError:
+                raise ParseError(f"non-integer vertex id {tokens[1]!r}", lineno) from None
+            add_vertex(vid, tokens[2])
+        elif kind == "t":
+            if current is not None:
+                yield current_id, current
             # "t # <id>" or "t <id>"
             if len(tokens) >= 2 and tokens[1] == "#":
                 gid = tokens[2] if len(tokens) >= 3 else None
@@ -93,26 +111,10 @@ def iter_graphs(stream: TextIO, *, strict: bool = True) -> Iterator[Tuple[str, G
                 raise ParseError("graph header missing id", lineno)
             current = Graph()
             current_id = gid
-        elif kind == "v":
-            if current is None:
-                raise ParseError("vertex record before any graph header", lineno)
-            if len(tokens) < 3:
-                raise ParseError(f"malformed vertex record {line!r}", lineno)
-            try:
-                vid = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"non-integer vertex id {tokens[1]!r}", lineno) from None
-            current.add_vertex(vid, tokens[2])
-        elif kind == "e":
-            if current is None:
-                raise ParseError("edge record before any graph header", lineno)
-            if len(tokens) < 3 or (strict and len(tokens) > 3):
-                raise ParseError(f"malformed edge record {line!r}", lineno)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"non-integer edge endpoint in {line!r}", lineno) from None
-            current.add_edge(u, v)
+            add_vertex, add_edge = current.add_vertex, current.add_edge
+        elif kind[0] == "#":
+            continue
         elif strict:
             raise ParseError(f"unknown record type {kind!r}", lineno)
-    yield from flush()
+    if current is not None:
+        yield current_id, current

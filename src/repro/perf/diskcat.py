@@ -49,6 +49,15 @@ backends, this makes a mapped engine return *byte-identical* results to
 a rebuilt one — candidates, matches, orderings, all five query modes (a
 hypothesis test pins this).
 
+A full write builds its sections on one of two paths, chosen the way
+:func:`_int64_view` is, by whether numpy imports.  With numpy, one Python
+pass decomposes each graph and emits flat ``(graph, sid)`` star
+occurrences plus each distinct star's root and leaves, and numpy kernels
+(``unique``, ``bincount``, ``lexsort``, ``cumsum``) build every section
+from those arrays.  Without numpy, the original per-section loops run.
+Both emit the same bytes (``tests/test_sidecar_writer.py`` pins this), so
+the format does not depend on which one wrote the file.
+
 Reads are zero-copy: :class:`DiskCatalog` mmaps the file and exposes the
 arrays as ``numpy.frombuffer`` views (or ``memoryview.cast('q')``
 sequences under the pure-Python fallback), :class:`MappedTwoLevelIndex`
@@ -396,7 +405,18 @@ def _columnarize(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
     ids in first-occurrence order — the numbering a rebuild of the same
     serialisation would produce, which keeps the ``(sed, sid)``
     tie-breaks byte-identical between mapped and rebuilt engines.
+
+    Two writers produce the same bytes: :func:`_columnarize_numpy` when
+    numpy imports, :func:`_columnarize_pure` otherwise (and as the
+    reference a test compares it with).
     """
+    if _np is not None:
+        return _columnarize_numpy(pairs)
+    return _columnarize_pure(pairs)
+
+
+def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
+    """The per-section loops of :func:`_columnarize` (no numpy needed)."""
     sig_to_sid: Dict[str, int] = {}
     stars: List[Star] = []
     refcount: List[int] = []
@@ -537,6 +557,149 @@ def _columnarize(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
             "n_graphs": len(pairs),
             "n_stars": len(stars),
             "n_labels": len(labels),
+            "n_leaf_ids": len(leaf_ids),
+            "n_postings": len(post_rows),
+            "n_upper": len(up_gids),
+        },
+    }
+
+
+def _star_occurrences(pairs: Sequence[Tuple[str, Graph]]):
+    """The Python pass of :func:`_columnarize_numpy`: one walk per graph.
+
+    Decomposes each graph and numbers its stars canonically (first
+    occurrence wins).  Returns the per-graph ``orders``, ``maxdegs`` and
+    ``edges`` lists; ``occ``, the sid of every star occurrence in graph
+    order (graph ``i`` owns ``orders[i]`` of them, one per vertex); and,
+    per distinct star in sid order, its ``roots`` label and sorted
+    ``leaves`` tuple.
+    """
+    sig_to_sid: Dict[str, int] = {}
+    roots: List[str] = []
+    leaves: List[Tuple[str, ...]] = []
+    occ: List[int] = []
+    orders: List[int] = []
+    maxdegs: List[int] = []
+    edges: List[int] = []
+    for _, graph in pairs:
+        orders.append(graph.order)
+        maxdegs.append(graph.max_degree())
+        edges.append(graph.size)
+        for star in decompose(graph):
+            sid = sig_to_sid.get(star.signature)
+            if sid is None:
+                sid = sig_to_sid[star.signature] = len(roots)
+                roots.append(star.root)
+                leaves.append(star.leaves)
+            occ.append(sid)
+    return orders, maxdegs, edges, occ, roots, leaves
+
+
+def _pack_array(values) -> bytes:
+    """Pack a numpy integer array as little-endian int64 bytes."""
+    return _np.ascontiguousarray(values, dtype="<i8").tobytes()
+
+
+def _csr_offsets(owners, count: int):
+    """CSR offsets (``count + 1`` of them) of entries grouped by *owners*."""
+    offsets = _np.zeros(count + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(owners, minlength=count), out=offsets[1:])
+    return offsets
+
+
+def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
+    """:func:`_columnarize` as one Python pass plus numpy section kernels.
+
+    Every section is a sort or a count over the ``(graph, sid)`` star
+    occurrences, or over the ``(star, leaf label)`` entries of the
+    distinct stars, so ``unique``/``bincount``/``lexsort`` build each one
+    in a single call; the output is byte-identical to
+    :func:`_columnarize_pure`.
+    """
+    np = _np
+    orders, maxdegs, edges, occ, roots, leaves = _star_occurrences(pairs)
+    n_graphs, n_stars = len(pairs), len(roots)
+    labels = sorted(set(roots).union(*leaves))
+    n_labels = len(labels)
+    label_to_id = {label: i for i, label in enumerate(labels)}
+
+    order_col = np.array(orders, dtype=np.int64)
+    occ_sids = np.array(occ, dtype=np.int64)
+    occ_graph = np.repeat(np.arange(n_graphs, dtype=np.int64), order_col)
+    root_ids = np.array([label_to_id[root] for root in roots], dtype=np.int64)
+    leaf_sizes = np.array([len(star) for star in leaves], dtype=np.int64)
+    leaf_ids = np.array(
+        [label_to_id[leaf] for star in leaves for leaf in star], dtype=np.int64
+    )
+    leaf_star = np.repeat(np.arange(n_stars, dtype=np.int64), leaf_sizes)
+
+    # Graph -> star counts, sid ascending within each graph.  A stride of
+    # at least 1 keeps the key split defined when there are no stars.
+    stride = max(n_stars, 1)
+    keys, gs_cnts = np.unique(occ_graph * stride + occ_sids, return_counts=True)
+    gs_graph = keys // stride
+    gs_sids = keys - gs_graph * stride
+
+    # Lower-level postings: (label, star) pairs with the leaf frequency,
+    # label-major and row ascending within a label.
+    keys, post_freqs = np.unique(leaf_ids * stride + leaf_star, return_counts=True)
+    post_lids = keys // stride
+    post_rows = keys - post_lids * stride
+    # Figure-6 order per label: leaf size asc, frequency desc, sid asc.
+    low_perm = np.lexsort((post_rows, -post_freqs, leaf_sizes[post_rows], post_lids))
+    size_perm = np.argsort(leaf_sizes, kind="stable")
+
+    # Upper-level postings: per sid, graphs by (order, gid string) — one
+    # rank per graph replaces a sort per sid.
+    gid_strings = [str(gid) for gid, _ in pairs]
+    by_order = sorted(range(n_graphs), key=lambda g: (orders[g], gid_strings[g]))
+    rank = np.empty(n_graphs, dtype=np.int64)
+    rank[by_order] = np.arange(n_graphs, dtype=np.int64)
+    up = np.lexsort((rank[gs_graph], gs_sids))
+    up_gids = gs_graph[up]
+
+    # Embedding columns: every vertex label is its star's root label.
+    label_stride = max(n_labels, 1)
+    emb_keys, emb_cnts = np.unique(
+        occ_graph * label_stride + root_ids[occ_sids], return_counts=True
+    )
+    emb_graph = emb_keys // label_stride
+
+    labels_off, labels_blob = _pack_string_table(labels)
+    gids_off, gids_blob = _pack_string_table(gid_strings)
+    return {
+        "labels_off": labels_off,
+        "labels_blob": labels_blob,
+        "gids_off": gids_off,
+        "gids_blob": gids_blob,
+        "g_order": _pack_array(order_col),
+        "g_maxdeg": _pack_int64(maxdegs),
+        "gs_off": _pack_array(_csr_offsets(gs_graph, n_graphs)),
+        "gs_sids": _pack_array(gs_sids),
+        "gs_cnts": _pack_array(gs_cnts),
+        "cat_sids": _pack_array(np.arange(n_stars)),
+        "cat_root": _pack_array(root_ids),
+        "cat_lsize": _pack_array(leaf_sizes),
+        "cat_loff": _pack_array(_csr_offsets(leaf_star, n_stars)),
+        "cat_lids": _pack_array(leaf_ids),
+        "cat_poff": _pack_array(_csr_offsets(post_lids, n_labels)),
+        "cat_prows": _pack_array(post_rows),
+        "cat_pfreqs": _pack_array(post_freqs),
+        "cat_ref": _pack_array(np.bincount(occ_sids, minlength=n_stars)),
+        "up_off": _pack_array(_csr_offsets(gs_sids, n_stars)),
+        "up_gids": _pack_array(up_gids),
+        "up_freqs": _pack_array(gs_cnts[up]),
+        "up_orders": _pack_array(order_col[up_gids]),
+        "low_perm": _pack_array(low_perm),
+        "size_perm": _pack_array(size_perm),
+        "emb_off": _pack_array(_csr_offsets(emb_graph, n_graphs)),
+        "emb_lids": _pack_array(emb_keys - emb_graph * label_stride),
+        "emb_cnts": _pack_array(emb_cnts),
+        "emb_edges": _pack_int64(edges),
+        "_counts": {
+            "n_graphs": n_graphs,
+            "n_stars": n_stars,
+            "n_labels": n_labels,
             "n_leaf_ids": len(leaf_ids),
             "n_postings": len(post_rows),
             "n_upper": len(up_gids),

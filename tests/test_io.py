@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import GraphError, ParseError
 from repro.graphs import io as gio
 from repro.graphs.model import Graph
 
@@ -75,6 +75,50 @@ class TestLoads:
             gio.loads(text)
         pairs = gio.loads(text, strict=False)
         assert pairs[0][1].has_edge(0, 1)
+
+
+class TestParseErrors:
+    """Every parse error keeps its message and the line it names."""
+
+    @pytest.mark.parametrize(
+        "text, strict, message",
+        [
+            ("t #\n", True, "graph header missing id (line 1)"),
+            ("\n# c\nt\n", True, "graph header missing id (line 3)"),
+            ("v 0 a\n", True, "vertex record before any graph header (line 1)"),
+            ("e 0 1\n", True, "edge record before any graph header (line 1)"),
+            ("t # g\n  v 0  \n", True, "malformed vertex record 'v 0' (line 2)"),
+            ("t # g\nv x a\n", True, "non-integer vertex id 'x' (line 2)"),
+            ("t # g\nv 0 a\ne 0\n", True, "malformed edge record 'e 0' (line 3)"),
+            ("t # g\nv 0 a\ne 0\n", False, "malformed edge record 'e 0' (line 3)"),
+            ("t # g\nv 0 a\ne 0 1 x\n", True, "malformed edge record 'e 0 1 x' (line 3)"),
+            (
+                "t # g\nv 0 a\nv 1 b\n\te 0 b \n",
+                True,
+                "non-integer edge endpoint in 'e 0 b' (line 4)",
+            ),
+            (
+                "t # g\nv 0 a\nv 1 b\ne 0 1 x\ne 0 y\n",
+                False,
+                "non-integer edge endpoint in 'e 0 y' (line 5)",
+            ),
+            ("t # g\nz 1 2\n", True, "unknown record type 'z' (line 2)"),
+        ],
+    )
+    def test_message_and_line(self, text, strict, message):
+        with pytest.raises(ParseError) as exc:
+            gio.loads(text, strict=strict)
+        assert str(exc.value) == message
+        assert exc.value.line_number == int(message.rsplit(" ", 1)[1][:-1])
+
+    def test_graph_errors_raise_at_their_line(self):
+        """A bad edge fails on its own line, before a later parse error."""
+        with pytest.raises(GraphError):
+            gio.loads("t # g\nv 0 a\ne 0 0\nz\n")
+        with pytest.raises(GraphError):
+            gio.loads("t # g\nv 0 a\ne 0 1\nv 1 b\n")
+        with pytest.raises(GraphError):
+            gio.loads("t # g\nv 0 a\nv 0 b\nz\n")
 
 
 class TestRoundTrip:
