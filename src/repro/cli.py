@@ -104,7 +104,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"pruned {dict(result.stats.pruned_by)}, "
         f"{result.elapsed * 1000:.1f} ms"
     )
-    # Degraded execution (worker lost, pool retried, serial fallback) must
+    # Degraded execution (worker lost, task timed out, serial fallback) must
     # be visible to the operator, not only in programmatic stats.
     for event in result.stats.degradations:
         print(f"degraded: {event.summary()}")

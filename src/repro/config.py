@@ -19,7 +19,7 @@ Now the rule is simple and testable:
 
 The low-level ``env_*`` helpers stay available for the few ``resolve_*``
 functions that keep a call-time environment fallback for direct, engine-less
-use (assignment backend, fsync policy, fault plan, pool policy).  The top-k
+use (assignment backend, fsync policy, fault plan, task timeout).  The top-k
 backend and the worker counts have no such fallback: only
 :class:`EngineConfig` reads them.
 """
@@ -31,8 +31,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 # ---------------------------------------------------------------------------
-# Environment variable names (single source of truth; other modules re-export
-# these for backwards compatibility).
+# Environment variable names (single source of truth).
 # ---------------------------------------------------------------------------
 
 #: Assignment-problem backend: ``pure`` / ``scipy`` / ``auto``.
@@ -49,10 +48,6 @@ ENV_VERIFY_BUDGET = "REPRO_VERIFY_BUDGET"
 ENV_VERIFY_DEADLINE = "REPRO_VERIFY_DEADLINE"
 #: Seconds one supervised worker task may run before its worker is killed.
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
-#: Consecutive no-progress pool failures before the circuit breaker opens.
-ENV_MAX_POOL_RETRIES = "REPRO_MAX_POOL_RETRIES"
-#: Base (seconds) of the exponential backoff slept before pool retries.
-ENV_RETRY_BACKOFF = "REPRO_RETRY_BACKOFF"
 #: Scripted fault plan for the resilience layer (see repro.resilience.faults).
 ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 #: Span tracing on/off (truthy: 1/true/yes/on; falsy: 0/false/no/off).
@@ -77,10 +72,6 @@ DEFAULT_K = 100
 DEFAULT_H = 1000
 #: Section V-E's 50 % rule for the Theorem-1 partial check.
 DEFAULT_PARTIAL_FRACTION = 0.5
-#: Default consecutive-failure budget of the supervised pool's breaker.
-DEFAULT_MAX_POOL_RETRIES = 2
-#: Default exponential-backoff base (seconds) between pool retries.
-DEFAULT_RETRY_BACKOFF = 0.05
 #: Default delta-compaction threshold: rewrite the sidecar once the journal
 #: exceeds this fraction of the base graph count (see repro.perf.diskcat).
 DEFAULT_DELTA_COMPACT = 0.25
@@ -283,16 +274,9 @@ class EngineConfig:
         one query's verification; ``None`` = no deadline.
         Env: ``REPRO_VERIFY_DEADLINE``.
     task_timeout:
-        Seconds one supervised worker task may run before its worker is
-        killed and the task retried; ``None`` = no per-task timeout.
-        Env: ``REPRO_TASK_TIMEOUT``.
-    max_pool_retries:
-        Consecutive no-progress pool failures the supervised executor
-        tolerates before its circuit breaker opens and execution falls
-        back to serial.  Env: ``REPRO_MAX_POOL_RETRIES``.
-    retry_backoff:
-        Base (seconds) of the exponential backoff slept before each pool
-        retry round.  Env: ``REPRO_RETRY_BACKOFF``.
+        Seconds one supervised worker task may run before its workers are
+        killed and the unfinished tasks run in the parent process;
+        ``None`` = no per-task timeout.  Env: ``REPRO_TASK_TIMEOUT``.
     fault_plan:
         Scripted fault-injection plan (see
         :mod:`repro.resilience.faults`); ``None`` = faults disabled.
@@ -353,8 +337,6 @@ class EngineConfig:
     verify_budget: int = DEFAULT_VERIFY_BUDGET
     verify_deadline: Optional[float] = None
     task_timeout: Optional[float] = None
-    max_pool_retries: int = DEFAULT_MAX_POOL_RETRIES
-    retry_backoff: float = DEFAULT_RETRY_BACKOFF
     fault_plan: Optional[str] = None
     trace: bool = False
     trace_path: Optional[str] = None
@@ -386,10 +368,6 @@ class EngineConfig:
             raise ValueError("verify_deadline must be positive")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if self.max_pool_retries < 0:
-            raise ValueError("max_pool_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         if self.fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync_policy {self.fsync_policy!r} "
@@ -435,10 +413,6 @@ class EngineConfig:
             "verify_budget": env_int(ENV_VERIFY_BUDGET, DEFAULT_VERIFY_BUDGET),
             "verify_deadline": env_float(ENV_VERIFY_DEADLINE, None),
             "task_timeout": env_float(ENV_TASK_TIMEOUT, None),
-            "max_pool_retries": env_int(
-                ENV_MAX_POOL_RETRIES, DEFAULT_MAX_POOL_RETRIES
-            ),
-            "retry_backoff": env_float(ENV_RETRY_BACKOFF, DEFAULT_RETRY_BACKOFF),
             "fault_plan": env_raw(ENV_FAULT_PLAN) or None,
             "trace": env_bool(ENV_TRACE, False),
             "trace_path": env_raw(ENV_TRACE_PATH) or None,
@@ -486,8 +460,6 @@ ENV_KNOBS: Tuple[Tuple[str, str], ...] = (
     ("verify_budget", ENV_VERIFY_BUDGET),
     ("verify_deadline", ENV_VERIFY_DEADLINE),
     ("task_timeout", ENV_TASK_TIMEOUT),
-    ("max_pool_retries", ENV_MAX_POOL_RETRIES),
-    ("retry_backoff", ENV_RETRY_BACKOFF),
     ("fault_plan", ENV_FAULT_PLAN),
     ("trace", ENV_TRACE),
     ("trace_path", ENV_TRACE_PATH),

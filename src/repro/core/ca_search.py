@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..graphs.model import Graph, normalization_factor
-from ..graphs.star import Star, decompose, star_at
+from ..graphs.star import Star, StarKey, decompose, star_at
 from ..matching.mapping import DynamicMappingDistance, edit_cost_under_mapping
 from .bounds import SeenGraph, settle_by_full_bounds
 from .graph_lists import QueryStarLists
@@ -243,9 +243,9 @@ class _GraphResolver:
         ``P`` and hence a valid upper bound ``C(q, g, P)``.
         """
         query_vertices = list(self.query.vertices())
-        vertex_pool: Dict[str, List[int]] = {}
+        vertex_pool: Dict[StarKey, List[int]] = {}
         for v in graph.vertices():
-            vertex_pool.setdefault(star_at(graph, v).signature, []).append(v)
+            vertex_pool.setdefault(star_at(graph, v).key, []).append(v)
         mapping: Dict[int, Optional[int]] = {}
         for row, (left, right) in enumerate(dyn.star_alignment()):
             if left is None:
@@ -254,7 +254,7 @@ class _GraphResolver:
             if right is None:
                 mapping[v1] = None
                 continue
-            pool = vertex_pool.get(right.signature)
+            pool = vertex_pool.get(right.key)
             mapping[v1] = pool.pop() if pool else None
         return edit_cost_under_mapping(self.query, graph, mapping)
 

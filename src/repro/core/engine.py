@@ -35,7 +35,6 @@ from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
 from ..obs.trace import Trace
 from ..perf.parallel import chunk_evenly, effective_workers, fan_out
 from ..resilience.faults import FaultPlan
-from ..resilience.pool import ResiliencePolicy
 from .index import ChangeSet, GraphMeta, TwoLevelIndex
 from .plan import QueryResult, QuerySession, traced_scope
 from .stats import QueryStats
@@ -83,8 +82,6 @@ class SegosIndex:
         verify_budget: Optional[int] = None,
         verify_deadline: Optional[float] = None,
         task_timeout: Optional[float] = None,
-        max_pool_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
         fault_plan: Optional[str] = None,
         trace: Optional[bool] = None,
         trace_path: Optional[str] = None,
@@ -107,8 +104,6 @@ class SegosIndex:
             verify_budget=verify_budget,
             verify_deadline=verify_deadline,
             task_timeout=task_timeout,
-            max_pool_retries=max_pool_retries,
-            retry_backoff=retry_backoff,
             fault_plan=fault_plan,
             trace=trace,
             trace_path=trace_path,
@@ -488,11 +483,11 @@ class SegosIndex:
                     chunks,
                     stage="batch",
                     workers=pool_workers,
-                    policy=ResiliencePolicy.from_config(config),
+                    task_timeout=config.task_timeout,
                     faults=FaultPlan.parse(config.fault_plan),
                     tracer=tracer,
                 )
-            if outcome is None or outcome.rounds == 0:
+            if outcome is None or outcome.workers_used == 0:
                 # No pool ran: the whole batch is one serial chunk.
                 options = dict(options, verify_workers=verify_workers)
                 results = chunk_task(self, options, queries)

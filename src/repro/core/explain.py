@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..graphs.model import Graph
-from ..graphs.star import decompose
+from ..graphs.star import Star, decompose
 from .engine import SegosIndex
 from .stats import QueryStats
 
@@ -135,27 +135,30 @@ def explain_range_query(
     result = session.range_query(query, tau=tau)
 
     query_stars = decompose(query)
-    occurrences: Dict[str, int] = {}
+    # Star equality and hashing go by ``Star.key``, never the display
+    # signature, so colliding signatures stay two stars here.
+    occurrences: Dict[Star, int] = {}
     for star in query_stars:
-        occurrences[star.signature] = occurrences.get(star.signature, 0) + 1
+        occurrences[star] = occurrences.get(star, 0) + 1
     cache = session.topk_cache
-    traces = [
-        StarTrace(
-            signature=signature,
-            occurrences=count,
-            accesses=cache[signature].accesses,
-            returned=len(cache[signature].entries),
-            best_sed=(
-                cache[signature].entries[0][1] if cache[signature].entries else None
-            ),
-            kth_sed=cache[signature].kth_sed,
-            exhaustive=cache[signature].exhaustive,
-            backend=cache[signature].backend,
-            scan_width=cache[signature].scan_width,
+    traces = []
+    for star, count in occurrences.items():
+        topk = cache.get(star.key)
+        if topk is None:
+            continue
+        traces.append(
+            StarTrace(
+                signature=star.signature,
+                occurrences=count,
+                accesses=topk.accesses,
+                returned=len(topk.entries),
+                best_sed=topk.entries[0][1] if topk.entries else None,
+                kth_sed=topk.kth_sed,
+                exhaustive=topk.exhaustive,
+                backend=topk.backend,
+                scan_width=topk.scan_width,
+            )
         )
-        for signature, count in occurrences.items()
-        if signature in cache
-    ]
     return QueryExplanation(
         query_order=query.order,
         query_stars=len(query_stars),

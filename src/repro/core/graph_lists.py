@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.star import Star, epsilon_distance
+from ..graphs.star import Star, StarKey, epsilon_distance
 from .index import TwoLevelIndex
 from .ta_search import TopKResult, top_k_stars
 
@@ -155,12 +155,12 @@ def build_all_lists(
     query_order: int,
     k: int,
     *,
-    topk_cache: Optional[Dict[str, TopKResult]] = None,
+    topk_cache: Optional[Dict[StarKey, TopKResult]] = None,
     ta_accesses: Optional[List[int]] = None,
     ta_results: Optional[List[TopKResult]] = None,
     backend: Optional[str] = None,
 ) -> List[QueryStarLists]:
-    """Run top-k for every query star (memoised by signature), build lists.
+    """Run top-k for every query star (memoised by star key), build lists.
 
     Duplicate query stars (Figure 9 runs ``q: s5`` twice) share one top-k
     search but still get their own graph list, because the CA aggregation
@@ -172,13 +172,13 @@ def build_all_lists(
     searched here, cache hits excluded) so callers can report backend
     choices and access/scan-width counters.
     """
-    cache: Dict[str, TopKResult] = topk_cache if topk_cache is not None else {}
+    cache: Dict[StarKey, TopKResult] = topk_cache if topk_cache is not None else {}
     lists: List[QueryStarLists] = []
     for star in query_stars:
-        result = cache.get(star.signature)
+        result = cache.get(star.key)
         if result is None:
             result = top_k_stars(index, star, k, backend=backend)
-            cache[star.signature] = result
+            cache[star.key] = result
             if ta_accesses is not None:
                 ta_accesses.append(result.accesses)
             if ta_results is not None:

@@ -1,6 +1,6 @@
 """The two-level inverted index of SEGOS (Section IV).
 
-**Upper level** (Figure 5): one inverted list per *distinct star signature*;
+**Upper level** (Figure 5): one inverted list per *distinct star*;
 each entry is ``(gid, freq)`` — frequency of that star in the graph — and
 lists are sorted by increasing graph size (then gid, for determinism).
 
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphAlreadyIndexed, GraphNotIndexed, IndexCorruptionError
 from ..graphs.model import Graph
-from ..graphs.star import Star
+from ..graphs.star import Star, StarKey
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ class StarCatalog:
 
     def __init__(self) -> None:
         self._stars: List[Optional[Star]] = []
-        self._sid_by_signature: Dict[str, int] = {}
+        self._sid_by_key: Dict[StarKey, int] = {}
         self._refcount: List[int] = []
         self._free: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._sid_by_signature)
+        return len(self._sid_by_key)
 
     def star(self, sid: int) -> Star:
         """Return the star for *sid*."""
@@ -103,15 +103,15 @@ class StarCatalog:
 
     def sid(self, star: Star) -> Optional[int]:
         """Return the id of *star*, or None if it is not in the catalog."""
-        return self._sid_by_signature.get(star.signature)
+        return self._sid_by_key.get(star.key)
 
     def live_sids(self) -> List[int]:
         """All currently live star ids."""
-        return list(self._sid_by_signature.values())
+        return list(self._sid_by_key.values())
 
     def acquire(self, star: Star, count: int = 1) -> Tuple[int, bool]:
         """Add *count* references to *star*; return ``(sid, created)``."""
-        sid = self._sid_by_signature.get(star.signature)
+        sid = self._sid_by_key.get(star.key)
         if sid is not None:
             self._refcount[sid] += count
             return sid, False
@@ -123,7 +123,7 @@ class StarCatalog:
             sid = len(self._stars)
             self._stars.append(star)
             self._refcount.append(count)
-        self._sid_by_signature[star.signature] = sid
+        self._sid_by_key[star.key] = sid
         return sid, True
 
     def release(self, sid: int, count: int = 1) -> bool:
@@ -136,7 +136,7 @@ class StarCatalog:
         if self._refcount[sid] == 0:
             star = self._stars[sid]
             assert star is not None
-            del self._sid_by_signature[star.signature]
+            del self._sid_by_key[star.key]
             self._stars[sid] = None
             self._free.append(sid)
             return True
@@ -195,7 +195,7 @@ class _LazySortedList:
 
 
 class UpperLevelIndex:
-    """Star signature → graph postings, sorted by increasing graph size."""
+    """Star id → graph postings, sorted by increasing graph size."""
 
     def __init__(self) -> None:
         self._lists: Dict[int, _LazySortedList] = {}

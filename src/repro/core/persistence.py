@@ -66,10 +66,12 @@ _HEADER_PREFIX = "#segos "
 #: v2 records the full resolved EngineConfig.  Both load.
 _FORMAT_VERSION = 2
 #: Config keys of retired knobs that older v2 headers still carry: catalog
-#: sharding's three, the SED memo's capacity and the ``mmap`` switch.  They
-#: are dropped on load; any other unknown key is an error.
+#: sharding's three, the SED memo's capacity, the ``mmap`` switch and the
+#: pool's two retry knobs.  They are dropped on load; any other unknown key
+#: is an error.
 _RETIRED_CONFIG_KEYS = (
     "shards", "shard_by", "shard_pivots", "sed_cache_size", "mmap",
+    "max_pool_retries", "retry_backoff",
 )
 
 __all__ = [
@@ -398,7 +400,15 @@ def save_index(
 
     if net_ops is not None and not net_ops:
         # Nothing changed since the sync and the files still match the
-        # handle: both writes would be byte-for-byte no-ops.
+        # handle: both writes would be byte-for-byte no-ops.  The engine may
+        # still have mutated (an add undone by a remove), so the handle
+        # moves to its current generation; otherwise it would read stale
+        # and pools would run serially until the next real save.
+        engine._sync_disk_source(
+            dataclasses.replace(
+                engine._disk_source, local_generation=engine.index.generation
+            )
+        )
         return
 
     delta = None

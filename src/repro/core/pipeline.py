@@ -237,7 +237,7 @@ class _PipelineRun:
         #: their own, so they attach under the fused stage span explicitly
         self.tracer = ctx.tracer
         self.span_parent = ctx.tracer.current_context()
-        #: session-shared signature → TopKResult cache (only the TA thread
+        #: session-shared star key → TopKResult cache (only the TA thread
         #: writes during a run; batch queries run sequentially, so reuse
         #: across queries is race-free)
         self.topk_cache = ctx.topk_cache
@@ -263,12 +263,12 @@ class _PipelineRun:
                 for j, star in enumerate(self.query_stars):
                     if self.stop_ta.is_set():
                         break
-                    result = self.topk_cache.get(star.signature)
+                    result = self.topk_cache.get(star.key)
                     if result is None:
                         result = top_k_stars(
                             self.index, star, self.k, backend=self.config.topk_backend
                         )
-                        self.topk_cache[star.signature] = result
+                        self.topk_cache[star.key] = result
                         self.stats.ta_searches += 1
                         self.stats.ta_accesses += result.accesses
                         self.stats.count_topk_backend(

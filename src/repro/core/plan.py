@@ -41,10 +41,9 @@ from typing import (
 
 from ..config import EngineConfig
 from ..graphs.model import Graph
-from ..graphs.star import Star, decompose
+from ..graphs.star import Star, StarKey, decompose
 from ..obs.metrics import GLOBAL_METRICS, record_query_metrics
 from ..obs.trace import NULL_TRACER, Trace, Tracer, activate, current_tracer
-from ..resilience.pool import ResiliencePolicy
 from .ca_search import ca_range_query
 from .graph_lists import QueryStarLists, build_all_lists
 from .stats import QueryStats, WallClock
@@ -111,8 +110,8 @@ class ExecutionContext:
     owns_tracer: bool = False
     #: span-tree handle filled in by the executor on traced runs
     trace: Optional[Trace] = None
-    #: signature → TopKResult, shared across queries via a QuerySession
-    topk_cache: Dict[str, TopKResult] = field(default_factory=dict)
+    #: star key → TopKResult, shared across queries via a QuerySession
+    topk_cache: Dict[StarKey, TopKResult] = field(default_factory=dict)
     stats: QueryStats = field(default_factory=QueryStats)
     # --- stage outputs -------------------------------------------------
     query_stars: List[Star] = field(default_factory=list)
@@ -186,7 +185,7 @@ def make_context(
     config: EngineConfig,
     verify: str = "none",
     mode: str = "range",
-    topk_cache: Optional[Dict[str, TopKResult]] = None,
+    topk_cache: Optional[Dict[StarKey, TopKResult]] = None,
 ) -> ExecutionContext:
     """Validate the public query arguments and assemble a fresh context."""
     if query.order == 0:
@@ -227,7 +226,7 @@ class TAStage(Stage):
     """Top-k sub-unit search (Algorithm 2) + graph score-list construction.
 
     Decomposes the query into stars and builds, per star occurrence, the
-    two size-side graph lists — memoising top-k searches by signature in
+    two size-side graph lists — memoising top-k searches by star key in
     the context's (possibly session-shared) cache.
     """
 
@@ -380,7 +379,7 @@ class VerifyStage(Stage):
             deadline=ctx.config.verify_deadline,
             workers=ctx.config.verify_workers,
             assignment_backend=ctx.config.assignment_backend,
-            resilience=ResiliencePolicy.from_config(ctx.config),
+            task_timeout=ctx.config.task_timeout,
             fault_plan=ctx.config.fault_plan,
             tracer=ctx.tracer,
             # Pool workers attach the engine's on-disk index by this handle;
@@ -495,7 +494,7 @@ class QuerySession:
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else engine.config
-        self.topk_cache: Dict[str, TopKResult] = {}
+        self.topk_cache: Dict[StarKey, TopKResult] = {}
 
     def plan(
         self,

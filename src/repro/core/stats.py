@@ -90,7 +90,7 @@ class QueryStats:
     #: ``verify`` on the pipelined path — the threaded stages overlap, so
     #: they are timed as one fused stage)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: degradation telemetry: every pool failure, injected fault, retry or
+    #: degradation telemetry: every pool failure, injected fault or
     #: fallback recorded while answering this query (see
     #: :mod:`repro.resilience`); silent degradation is a bug
     degradations: List[DegradationEvent] = field(default_factory=list)
@@ -164,10 +164,7 @@ class QueryStats:
             )
             parts.append(f"stages: {timed}")
         if self.degradations:
-            parts.append(
-                f"degraded: {len(self.degradations)} event(s), "
-                f"{sum(e.retries for e in self.degradations)} retries"
-            )
+            parts.append(f"degraded: {len(self.degradations)} event(s)")
         return " | ".join(parts)
 
     def merge(self, other: "QueryStats") -> None:

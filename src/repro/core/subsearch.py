@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import heapq
 
 from ..graphs.model import Graph, normalization_factor
-from ..graphs.star import Star, decompose, multiset_intersection_size
+from ..graphs.star import Star, StarKey, decompose, multiset_intersection_size
 from ..graphs.subgraph_distance import subgraph_within
 from ..matching.hungarian import hungarian
 from .engine import SegosIndex
@@ -260,12 +260,12 @@ class _SubTAStage(Stage):
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
         ctx.query_stars = decompose(ctx.query)
         index = ctx.engine.index
-        topk_cache: Dict[str, List[Tuple[int, int]]] = ctx.topk_cache
+        topk_cache: Dict[StarKey, List[Tuple[int, int]]] = ctx.topk_cache
         for j, star in enumerate(ctx.query_stars):
-            entries = topk_cache.get(star.signature)
+            entries = topk_cache.get(star.key)
             if entries is None:
                 entries = self.search.top_k_sub_stars(star)
-                topk_cache[star.signature] = entries
+                topk_cache[star.key] = entries
                 ctx.stats.ta_searches += 1
             kth = (
                 float(entries[-1][1])

@@ -39,7 +39,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import ENV_TOPK_BACKEND  # noqa: F401 - re-exported; EngineConfig reads it
 from ..graphs.star import Star, star_edit_distance
 from ..perf.columnar import columnar_snapshot, numpy_available
 from .index import LowerEntry, TwoLevelIndex

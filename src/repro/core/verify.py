@@ -19,9 +19,10 @@ schedulable step:
   candidate graphs from the mapped index, so each task ships only a gid.
   The bounds stage stays in-process (it is cheap and prunes most of the
   batch); the surviving runs are dispatched in the same ``L_m``-ascending
-  priority order, each with its budget intact.  Hung workers are killed
-  after ``task_timeout``, broken pools are re-spawned with completed runs
-  salvaged, and a blown ``deadline`` terminates the worker processes
+  priority order, each with its budget intact.  The pool runs one round:
+  hung workers are killed after ``task_timeout``, and after any pool
+  failure the completed runs are salvaged and the unfinished ones run
+  in-process.  A blown ``deadline`` terminates the worker processes
   outright so it actually bounds wall-clock.  Without a handle the runs
   stay serial with identical answers, and every degradation lands in
   :attr:`VerificationReport.degradations`.
@@ -33,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..config import ENV_TASK_TIMEOUT, env_float
 from ..errors import SearchBudgetExceeded
 from ..graphs.edit_distance import PreparedQuery, graph_edit_distance, prepare_query
 from ..graphs.model import Graph
@@ -40,7 +42,6 @@ from .bounds import settle_by_full_bounds
 from ..obs.trace import NULL_TRACER, current_tracer
 from ..perf.parallel import fan_out
 from ..resilience.faults import resolve_fault_plan
-from ..resilience.pool import ResiliencePolicy
 from ..resilience.telemetry import DegradationEvent
 
 #: Default per-candidate A* state budget for *direct* verify_candidates
@@ -140,7 +141,7 @@ def verify_candidates(
     deadline: Optional[float] = None,
     workers: int = 1,
     assignment_backend: Optional[str] = None,
-    resilience: Optional[ResiliencePolicy] = None,
+    task_timeout: Optional[float] = None,
     fault_plan=None,
     tracer=NULL_TRACER,
     disk_handle=None,
@@ -154,9 +155,9 @@ def verify_candidates(
     pool when *disk_handle* (the engine's
     :meth:`~repro.core.engine.SegosIndex.disk_handle`) is current — without
     one they run in-process and a degradation event says so — governed by
-    *resilience* (default: the ``REPRO_TASK_TIMEOUT`` /
-    ``REPRO_MAX_POOL_RETRIES`` / ``REPRO_RETRY_BACKOFF`` environment
-    knobs) and *fault_plan* (a spec string, a parsed
+    *task_timeout* (seconds per A* task; ``None`` for the
+    ``REPRO_TASK_TIMEOUT`` environment default) and *fault_plan* (a spec
+    string, a parsed
     :class:`~repro.resilience.faults.FaultPlan`, or ``None`` for the
     ``REPRO_FAULT_PLAN`` environment default).
 
@@ -205,7 +206,11 @@ def verify_candidates(
             gids,
             stage="verify",
             workers=workers,
-            policy=resilience if resilience is not None else ResiliencePolicy.from_env(),
+            task_timeout=(
+                task_timeout
+                if task_timeout is not None
+                else env_float(ENV_TASK_TIMEOUT, None)
+            ),
             faults=resolve_fault_plan(fault_plan),
             tracer=tracer,
             deadline=deadline,

@@ -153,7 +153,8 @@ class PoolBrokenError(ReproError):
 
     The supervised executor (:mod:`repro.resilience.pool`) converts a
     ``BrokenProcessPool`` into this library error, kills the remains of the
-    pool, and re-spawns; callers see it in the ``cause`` of a
+    pool, and hands the unfinished tasks back to the caller to run
+    in-process; callers see it in the ``cause`` of a
     :class:`~repro.resilience.telemetry.DegradationEvent` rather than as a
     raised exception.
     """
@@ -164,7 +165,8 @@ class WorkerTimeout(ReproError):
 
     A running task cannot be cancelled (``future.cancel()`` is a no-op once
     execution starts), so the supervisor terminates the worker processes
-    and retries the unfinished remainder on a fresh pool.
+    and hands the unfinished remainder back to the caller to run
+    in-process.
     """
 
     def __init__(self, task_id: object, timeout: float | None) -> None:

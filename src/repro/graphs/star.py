@@ -8,8 +8,8 @@ each vertex.  Stars are the "sub-units" that SEGOS indexes.
 This module implements:
 
 * :class:`Star` — an immutable star with a canonical label-sequence
-  signature (the paper writes ``s0: abbcc`` for root ``a``, leaves
-  ``{b, b, c, c}``);
+  key and a display signature (the paper writes ``s0: abbcc`` for root
+  ``a``, leaves ``{b, b, c, c}``);
 * :func:`decompose` — the graph → star multiset transformation;
 * :func:`star_edit_distance` — Lemma 1, computed in Θ(n) on the sorted leaf
   multisets;
@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from typing import Counter as CounterType
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import Graph, Label
+
+#: A star's collision-free identity: ``(root label, sorted leaf labels)``.
+StarKey = Tuple[Label, Tuple[Label, ...]]
 
 
 class Star:
@@ -36,17 +39,22 @@ class Star:
     >>> s = Star("a", ["c", "b", "b", "c"])
     >>> s.signature
     'a|b,b,c,c'
+    >>> s.key
+    ('a', ('b', 'b', 'c', 'c'))
     >>> s.leaf_size
     4
     """
 
-    __slots__ = ("root", "leaves", "_hash", "_signature")
+    __slots__ = ("root", "leaves", "key", "_hash", "_signature")
 
     def __init__(self, root: Label, leaves: Iterable[Label] = ()) -> None:
         self.root: Label = root
         self.leaves: Tuple[Label, ...] = tuple(sorted(leaves))
-        self._hash = hash((self.root, self.leaves))
-        self._signature = f"{root}|{','.join(self.leaves)}"
+        #: ``(root, leaves)``: the collision-free dictionary key every index
+        #: level and cache uses for this star.
+        self.key: StarKey = (root, self.leaves)
+        self._hash = hash(self.key)
+        self._signature: Optional[str] = None
 
     @property
     def leaf_size(self) -> int:
@@ -55,13 +63,15 @@ class Star:
 
     @property
     def signature(self) -> str:
-        """Canonical string form used as the upper-level index key.
+        """Display form: the root, ``|``, then the leaves joined by ``,``.
 
-        The separator characters keep multi-character labels unambiguous
-        (``("ab", "c")`` and ``("a", "bc")`` must not collide).  Precomputed
-        at construction: the top-k cache and the index levels key on it, so
-        this sits on the filter stage's hottest path.
+        For display only: a label that contains ``|`` or ``,`` makes two
+        different stars share a signature (``Star("a", ["b,c"])`` and
+        ``Star("a", ["b", "c"])`` both read ``a|b,c``), so nothing keys on
+        it — use :attr:`key`.
         """
+        if self._signature is None:
+            self._signature = f"{self.root}|{','.join(self.leaves)}"
         return self._signature
 
     def leaf_counter(self) -> CounterType[Label]:
@@ -71,14 +81,14 @@ class Star:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Star):
             return NotImplemented
-        return self.root == other.root and self.leaves == other.leaves
+        return self.key == other.key
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "Star") -> bool:
-        """Alphabetical order on signatures (the upper-level index order)."""
-        return (self.root, self.leaves) < (other.root, other.leaves)
+        """Order by root, then leaves (the upper-level index order)."""
+        return self.key < other.key
 
     def __repr__(self) -> str:
         return f"Star({self.signature!r})"
@@ -93,7 +103,7 @@ def decompose(graph: Graph) -> List[Star]:
     """Decompose *graph* into its multiset of stars, one per vertex.
 
     The result is ordered by vertex insertion order; callers that need a
-    canonical multiset should sort by :attr:`Star.signature`.
+    canonical multiset should sort the stars (by :attr:`Star.key`).
     """
     return [star_at(graph, v) for v in graph.vertices()]
 

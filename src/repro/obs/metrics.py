@@ -289,15 +289,12 @@ def record_query_metrics(
             stage=stage,
         ).inc(seconds)
 
-    # Resilience: pool retries / salvage / losses, by failure point.
+    # Resilience: pool degradations / salvage / losses, by failure point.
     for event in stats.degradations:
         registry.counter(
             "repro_degradations_total", "pool degradation events",
             point=event.point,
         ).inc()
-        registry.counter(
-            "repro_pool_retries_total", "pool retry rounds"
-        ).inc(event.retries)
         registry.counter(
             "repro_pool_salvaged_total", "task results salvaged across failures"
         ).inc(event.salvaged)

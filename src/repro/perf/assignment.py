@@ -36,11 +36,6 @@ from ..config import ENV_ASSIGNMENT_BACKEND, env_raw
 Matrix = Sequence[Sequence[float]]
 AssignmentFn = Callable[[Matrix], Tuple[float, List[int]]]
 
-#: Environment variable naming the default backend (pure / scipy / auto).
-#: Alias of :data:`repro.config.ENV_ASSIGNMENT_BACKEND` (the config layer
-#: owns the name; this module keeps its historical spelling).
-ENV_BACKEND = ENV_ASSIGNMENT_BACKEND
-
 _REGISTRY: Dict[str, AssignmentFn] = {}
 
 
@@ -118,7 +113,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     Raises ``ValueError`` for names absent from the registry, so engines can
     fail fast at construction time instead of mid-query.
     """
-    name = backend or env_raw(ENV_BACKEND) or "auto"
+    name = backend or env_raw(ENV_ASSIGNMENT_BACKEND) or "auto"
     if name == "auto":
         return "scipy" if scipy_available() else "pure"
     if name not in _REGISTRY:

@@ -104,7 +104,7 @@ from typing import (
 from ..errors import GraphNotIndexed, IndexCorruptionError, SidecarError, StaleSidecarError
 from ..graphs import io as gio
 from ..graphs.model import Graph
-from ..graphs.star import Star, decompose
+from ..graphs.star import Star, StarKey, decompose
 from .columnar import ColumnarCatalog, GraphEmbeddings
 from .durability import (
     fsync_dir,
@@ -417,7 +417,7 @@ def _columnarize(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
 
 def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
     """The per-section loops of :func:`_columnarize` (no numpy needed)."""
-    sig_to_sid: Dict[str, int] = {}
+    key_to_sid: Dict[StarKey, int] = {}
     stars: List[Star] = []
     refcount: List[int] = []
     upper: List[Dict[int, int]] = []  # sid -> {graph index -> freq}
@@ -429,10 +429,10 @@ def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
         maxdegs.append(graph.max_degree())
         counts: Counter = Counter()
         for star in decompose(graph):
-            sid = sig_to_sid.get(star.signature)
+            sid = key_to_sid.get(star.key)
             if sid is None:
                 sid = len(stars)
-                sig_to_sid[star.signature] = sid
+                key_to_sid[star.key] = sid
                 stars.append(star)
                 refcount.append(0)
                 upper.append({})
@@ -574,7 +574,7 @@ def _star_occurrences(pairs: Sequence[Tuple[str, Graph]]):
     per distinct star in sid order, its ``roots`` label and sorted
     ``leaves`` tuple.
     """
-    sig_to_sid: Dict[str, int] = {}
+    key_to_sid: Dict[StarKey, int] = {}
     roots: List[str] = []
     leaves: List[Tuple[str, ...]] = []
     occ: List[int] = []
@@ -586,9 +586,9 @@ def _star_occurrences(pairs: Sequence[Tuple[str, Graph]]):
         maxdegs.append(graph.max_degree())
         edges.append(graph.size)
         for star in decompose(graph):
-            sid = sig_to_sid.get(star.signature)
+            sid = key_to_sid.get(star.key)
             if sid is None:
-                sid = sig_to_sid[star.signature] = len(roots)
+                sid = key_to_sid[star.key] = len(roots)
                 roots.append(star.root)
                 leaves.append(star.leaves)
             occ.append(sid)
@@ -1596,7 +1596,7 @@ class _MappedCatalog:
     def __init__(self, owner: "MappedTwoLevelIndex") -> None:
         self._owner = owner
         self._stars: Dict[int, Star] = {}
-        self._sig_to_sid: Optional[Dict[str, int]] = None
+        self._key_to_sid: Optional[Dict[StarKey, int]] = None
 
     def __len__(self) -> int:
         inner = self._owner._inner
@@ -1629,12 +1629,12 @@ class _MappedCatalog:
         inner = self._owner._inner
         if inner is not None:
             return inner.catalog.sid(star)
-        if self._sig_to_sid is None:
-            self._sig_to_sid = {
-                self.star(row).signature: row
+        if self._key_to_sid is None:
+            self._key_to_sid = {
+                self.star(row).key: row
                 for row in range(self._owner._disk.n_stars)
             }
-        return self._sig_to_sid.get(star.signature)
+        return self._key_to_sid.get(star.key)
 
     def live_sids(self) -> List[int]:
         inner = self._owner._inner
@@ -1925,9 +1925,7 @@ class MappedTwoLevelIndex:
             catalog = index.catalog
             catalog._stars = list(stars)
             catalog._refcount = [int(c) for c in disk.ints("cat_ref")]
-            catalog._sid_by_signature = {
-                star.signature: sid for sid, star in enumerate(stars)
-            }
+            catalog._sid_by_key = {star.key: sid for sid, star in enumerate(stars)}
 
             off = disk.ints("up_off")
             up_gids = disk.ints("up_gids")

@@ -19,11 +19,10 @@ Robustness contract (all supervised by :mod:`repro.resilience.pool`):
   or mutated since its last save/load — runs serially with the same
   answers, and the fallback is recorded as a
   :class:`~repro.resilience.telemetry.DegradationEvent`, never silent;
-* a broken pool (worker killed, fork unavailable, stale sidecar) is killed
-  and re-spawned with bounded exponential-backoff retries; completed task
-  results are **salvaged** and only the failed remainder is re-queued, or
-  handed back to the caller to run in-process once the circuit breaker
-  opens;
+* a broken pool (worker killed, fork unavailable, stale sidecar) is
+  killed after its one round; completed task results are **salvaged** and
+  only the unfinished remainder is handed back to the caller to run
+  in-process;
 * hung workers are bounded by ``task_timeout``;
 * every degradation is observable in ``QueryStats.degradations``.
 """
@@ -37,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 from ..errors import StaleSidecarError
 from ..obs.trace import NULL_TRACER
 from ..resilience.faults import FaultPlan
-from ..resilience.pool import PoolOutcome, PoolTask, ResiliencePolicy, run_supervised
+from ..resilience.pool import PoolOutcome, PoolTask, run_supervised
 from ..resilience.telemetry import DegradationEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -94,8 +93,8 @@ def _attach_worker(handle: "DiskHandle", context_blob: bytes) -> None:
     pages, and proves it reconstructed the *same* state: the deterministic
     replay generation and the source hash must both match the handle.  Any
     mismatch (an out-of-band writer, a deleted sidecar forcing a rebuild)
-    raises — the supervised pool turns that into a retry and ultimately a
-    serial salvage in the parent, never a silent divergence.
+    raises — the supervised pool turns that into a serial salvage in the
+    parent, never a silent divergence.
     """
     global _WORKER_ENGINE, _WORKER_CONTEXT
     from ..core.persistence import load_index  # lazy: core.engine imports us
@@ -132,7 +131,7 @@ def fan_out(
     *,
     stage: str,
     workers: int,
-    policy: ResiliencePolicy,
+    task_timeout: Optional[float] = None,
     faults: FaultPlan,
     tracer=NULL_TRACER,
     deadline: Optional[float] = None,
@@ -143,11 +142,13 @@ def fan_out(
     *fn* must be a module-level function; *engine* is the worker's engine,
     attached from *handle*.  The outcome's ``results`` map item index →
     return value; any index missing from it is the caller's to run
-    in-process (circuit breaker open) or to give up on (deadline blown).
+    in-process (the pool failed) or to give up on (deadline blown).
+    *task_timeout* bounds each task (see
+    :func:`~repro.resilience.pool.run_supervised`).
 
     When the pool cannot start — no *handle*, or the context fails to
     pickle (the ``pickle.engine`` fault point fires here) — the outcome
-    has no results, ``rounds == 0`` and one serial-fallback
+    has no results, ``workers_used == 0`` and one serial-fallback
     :class:`DegradationEvent`.
     """
 
@@ -186,7 +187,7 @@ def fan_out(
     return run_supervised(
         tasks,
         workers=min(workers, len(items)),
-        policy=policy,
+        task_timeout=task_timeout,
         initializer=_attach_worker,
         initargs=(handle, context_blob),
         faults=faults,

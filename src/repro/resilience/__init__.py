@@ -8,8 +8,9 @@ in :mod:`repro` is wired through:
   registry (``REPRO_FAULT_PLAN`` / ``EngineConfig.fault_plan``) so every
   degradation branch is reachable from a test;
 * :mod:`repro.resilience.pool` — the supervised process-pool executor
-  (per-task timeout, bounded retry with backoff, circuit breaker,
-  per-task salvage) that owns the package's only ``ProcessPoolExecutor``;
+  (one round, per-task timeout, per-task salvage, unfinished tasks handed
+  back for a serial fallback) that owns the package's only
+  ``ProcessPoolExecutor``;
 * :mod:`repro.resilience.telemetry` — :class:`DegradationEvent` records
   appended to :attr:`~repro.core.stats.QueryStats.degradations`.
 """
@@ -24,7 +25,7 @@ from .faults import (
     random_spec,
     resolve_fault_plan,
 )
-from .pool import PoolOutcome, PoolTask, ResiliencePolicy, run_supervised
+from .pool import PoolOutcome, PoolTask, run_supervised
 from .telemetry import DegradationEvent
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "INJECTION_POINTS",
     "PoolOutcome",
     "PoolTask",
-    "ResiliencePolicy",
     "random_spec",
     "resolve_fault_plan",
     "run_supervised",

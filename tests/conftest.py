@@ -68,7 +68,7 @@ def saved_engine(tmp_path_factory):
     temp directory and returns ``load_index`` of it — an engine attached
     to its on-disk index, which is what pool workers attach by
     (``disk_handle()``).  Engine kwargs persist in the saved header, so a
-    ``fault_plan`` or ``retry_backoff`` given here holds for the loaded
+    ``fault_plan`` or ``task_timeout`` given here holds for the loaded
     engine too.  Gids come back as strings.
     """
 

@@ -197,13 +197,6 @@ class TestEnvIsolation:
                 offenders.append(str(path.relative_to(SRC)))
         assert offenders == []
 
-    def test_env_var_names_are_reexported(self):
-        from repro.core import ta_search
-        from repro.perf import assignment
-
-        assert assignment.ENV_BACKEND == ENV_ASSIGNMENT_BACKEND
-        assert ta_search.ENV_TOPK_BACKEND == ENV_TOPK_BACKEND
-
     def test_config_travels_to_subprocess(self):
         # A resolved config must be self-contained: pickling it into a
         # fresh interpreter with a clean environment keeps its values.
@@ -226,18 +219,33 @@ class TestEnvIsolation:
 
 
 class TestRetiredKnobs:
+    @pytest.mark.parametrize("name", ["max_pool_retries", "retry_backoff"])
+    def test_retired_pool_knobs_are_unknown_fields(self, name):
+        """The pool runs one round, so its retry knobs are gone: naming one
+        is a ``TypeError`` like any other unknown field."""
+        with pytest.raises(TypeError):
+            SegosIndex(**{name: 1})
+        with pytest.raises(TypeError, match="unknown EngineConfig field"):
+            EngineConfig.from_env(**{name: 1})
+        with pytest.raises(TypeError, match="unknown EngineConfig field"):
+            EngineConfig().override(**{name: 1})
+
     def test_retired_env_knobs_are_ignored(self, monkeypatch, tmp_path):
-        """``REPRO_SED_CACHE_SIZE`` and ``REPRO_MMAP`` name no knob any more:
-        exporting them changes no config field and cannot turn off the
-        sidecar attach."""
+        """``REPRO_SED_CACHE_SIZE``, ``REPRO_MMAP`` and the pool's
+        ``REPRO_MAX_POOL_RETRIES``/``REPRO_RETRY_BACKOFF`` name no knob any
+        more: exporting them changes no config field and cannot turn off
+        the sidecar attach."""
         from repro.core.persistence import load_index, save_index
 
         for _, env in ENV_KNOBS:
             monkeypatch.delenv(env, raising=False)
         baseline = EngineConfig.from_env().knobs()
-        assert len(baseline) == 20
+        assert len(baseline) == 18
+        assert len(ENV_KNOBS) == 15
         monkeypatch.setenv("REPRO_SED_CACHE_SIZE", "0")
         monkeypatch.setenv("REPRO_MMAP", "0")
+        monkeypatch.setenv("REPRO_MAX_POOL_RETRIES", "7")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "3.5")
         assert EngineConfig.from_env().knobs() == baseline
 
         path = tmp_path / "db.segos"

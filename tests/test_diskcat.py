@@ -367,6 +367,23 @@ class TestDeltaSegments:
         after = (os.stat(path).st_mtime_ns, open(sidecar, "rb").read())
         assert before == after
 
+    def test_netted_out_save_keeps_the_handle(self, saved, paper_g1):
+        """An add undone by a remove saves nothing, yet the engine still
+        equals its files: the handle must stay current for the pools."""
+        import os
+
+        _, engine, path = saved
+        sidecar = default_sidecar_path(path)
+        before = (os.stat(path).st_mtime_ns, open(sidecar, "rb").read())
+        engine.add("transient", paper_g1)
+        engine.remove("transient")
+        assert engine.disk_handle() is None
+        save_index(engine, path)
+        assert (os.stat(path).st_mtime_ns, open(sidecar, "rb").read()) == before
+        handle = engine.disk_handle()
+        assert handle is not None
+        assert handle.local_generation == engine.index.generation
+
     def test_external_rewrite_forces_full_base(self, saved, paper_g1):
         """A second writer invalidates the first engine's delta baseline; the
         next save must fall back to a full rewrite, not corrupt the chain."""

@@ -160,7 +160,7 @@ class TestLazyLists:
             stars = decompose(query)
             lists = build_all_lists(engine.index, stars, query_order, k, topk_cache=cache)
             references = [
-                eager_reference(engine.index, star, query_order, cache[star.signature])
+                eager_reference(engine.index, star, query_order, cache[star.key])
                 for star in stars
             ]
             for ql, (small, large) in zip(lists, references):

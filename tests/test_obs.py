@@ -587,21 +587,27 @@ def _rand_graph(n, seed, extra=3, labels="abcd"):
 def golden_result(saved_engine):
     """One traced pipelined query: exact verification fans out to two
     worker processes (attached to the saved corpus), one of which is
-    scripted to crash (and be respawned); everything must stitch back into
-    a single span tree."""
+    scripted to crash; the runs the pool did not finish then verify
+    serially in the parent, and everything must stitch back into a single
+    span tree.
+
+    The crash hits the third A* task: a worker takes one task at a time,
+    so by the time either worker starts task 2 one of tasks 0 and 1 has
+    finished, and its worker-side spans are salvaged."""
     graphs = {f"v{i}": _rand_graph(7, seed=i) for i in range(14)}
     engine = saved_engine(
         graphs,
         verify_workers=2,
-        fault_plan="worker.crash:times=1:stage=verify",
-        retry_backoff=0.0,
+        fault_plan="worker.crash:times=1:stage=verify:chunk=2",
         filter_tiers=PAPER_FILTER_TIERS,
     )
     query = _rand_graph(7, seed=99)
     result = PipelinedSegos(engine).range_query(
         query, tau=4, verify="exact", trace=True
     )
-    assert result.stats.astar_runs > 1  # precondition: the pool really ran
+    assert result.stats.astar_runs > 2  # precondition: task 2 was dispatched
+    (event,) = result.stats.degradations
+    assert event.point == "worker.crash" and event.fallback == "serial"
     return result
 
 

@@ -16,6 +16,7 @@ from repro.matching.mapping import (
     mapping_result,
     partial_mapping_distance,
 )
+from repro.config import ENV_ASSIGNMENT_BACKEND
 from repro.graphs.star import decompose
 from repro.perf import assignment
 from repro.perf.assignment import (
@@ -44,15 +45,15 @@ class TestRegistry:
         assert available_backends()["pure"] is True
 
     def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv(assignment.ENV_BACKEND, raising=False)
+        monkeypatch.delenv(ENV_ASSIGNMENT_BACKEND, raising=False)
         assert resolve_backend("pure") == "pure"
-        monkeypatch.setenv(assignment.ENV_BACKEND, "pure")
+        monkeypatch.setenv(ENV_ASSIGNMENT_BACKEND, "pure")
         assert resolve_backend() == "pure"
         # Explicit argument beats the environment.
         assert resolve_backend("scipy") == "scipy"
 
     def test_resolve_auto(self, monkeypatch):
-        monkeypatch.delenv(assignment.ENV_BACKEND, raising=False)
+        monkeypatch.delenv(ENV_ASSIGNMENT_BACKEND, raising=False)
         expected = "scipy" if scipy_available() else "pure"
         assert resolve_backend() == expected
         assert resolve_backend("auto") == expected

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from repro.core.index import GraphMeta, TwoLevelIndex
 from repro.core.sqlite_index import SqliteTwoLevelIndex
 from repro.core.engine import SegosIndex
-from repro.core.ta_search import ENV_TOPK_BACKEND, brute_force_top_k, top_k_stars
+from repro.config import ENV_TOPK_BACKEND
+from repro.core.ta_search import brute_force_top_k, top_k_stars
 from repro.graphs.generators import corpus
 from repro.graphs.star import Star, decompose, star_edit_distance
 from repro.perf import columnar

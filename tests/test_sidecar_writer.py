@@ -26,7 +26,10 @@ from repro.perf import diskcat
 
 # Multi-character and non-ASCII labels: the string table is UTF-8 and
 # labels sort by code point.
-LABELS = ("a", "b", "Cl", "Na", "é", "ß", "鉄", "αβ")
+#: ``"b,c"`` and ``"a|b"`` hold the separators of ``Star.signature``: stars
+#: over them print like other stars, and the writers must still tell them
+#: apart.
+LABELS = ("a", "b", "c", "Cl", "Na", "é", "ß", "鉄", "αβ", "b,c", "a|b")
 
 needs_numpy = pytest.mark.skipif(diskcat._np is None, reason="numpy not installed")
 
