@@ -13,6 +13,17 @@ from repro.baselines import CTree, KappaAT, SegosMethod
 from repro.bench import Series, format_table, time_build
 
 
+def build_segos(graphs):
+    """SEGOS with both index levels built.
+
+    The lower level is derived from the star catalog on first read, so
+    the timed build reads it once to keep the paper's two-level cost.
+    """
+    method = SegosMethod(graphs)
+    method.engine.index.lower.stats()
+    return method
+
+
 def sweep_build_times(dataset, grid):
     series = {
         "SEGOS": Series("SEGOS (s)"),
@@ -21,7 +32,7 @@ def sweep_build_times(dataset, grid):
     }
     for size in grid.db_sizes:
         graphs = dataset.subset(size).graphs
-        _, t = time_build(lambda: SegosMethod(graphs))
+        _, t = time_build(lambda: build_segos(graphs))
         series["SEGOS"].add(size, t)
         _, t = time_build(lambda: KappaAT(graphs, kappa=2))
         series["κ-AT"].add(size, t)
@@ -44,4 +55,4 @@ def test_fig14_build_time(benchmark, which, aids_dataset, pdg_dataset, grid, rep
         ),
     )
     graphs = dataset.subset(grid.default_db_size).graphs
-    benchmark.pedantic(lambda: SegosMethod(graphs), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: build_segos(graphs), rounds=1, iterations=1)

@@ -13,11 +13,14 @@ sorted by increasing leaf size.
 
 Both levels are plain inverted indexes, so the seven update kinds of
 Section IV-C reduce to the four primitive operations Op1–Op4 (posting
-insertion/removal, list creation/removal).  To keep updates O(1) the postings
-are stored as dictionaries and the sorted views are materialised lazily:
-every mutation flips a dirty flag and the next read rebuilds the affected
-sorted list.  This gives the same asymptotics as the B-tree-backed engine
-the paper assumes while staying honest about Python's strengths.
+insertion/removal, list creation/removal).  To keep updates O(1) the upper
+postings are stored as dictionaries and the sorted views are materialised
+lazily: every mutation flips a dirty flag and the next read rebuilds the
+affected sorted list.  This gives the same asymptotics as the B-tree-backed
+engine the paper assumes while staying honest about Python's strengths.
+The lower level is a function of the star catalog alone, and only TA
+search reads it, so it is not maintained at all: it is derived from the
+live stars on first read and dropped when a star is created or retired.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ class StarCatalog:
 
 
 # Sort keys are module-level functions: the mapped index's promotion
-# (repro.perf.diskcat) fills these lists directly and shares the keys.
+# (repro.perf.diskcat) fills the upper lists directly and shares their key.
 def _upper_sort_key(entry: UpperEntry) -> Tuple[int, str]:
     return (entry.order, str(entry.gid))
 
@@ -259,48 +262,53 @@ class UpperLevelIndex:
 
 
 class LowerLevelIndex:
-    """Leaf label → star postings grouped by leaf size, plus the size list."""
+    """Leaf label → star postings grouped by leaf size, plus the size list.
+
+    A read-side view derived from the catalog's live stars rather than a
+    maintained structure: only TA search (Alg. 2), subgraph search and
+    :meth:`TwoLevelIndex.size_estimate` read it, so mutations do no
+    upkeep here.  The first read builds every list in one pass; the index
+    calls :meth:`invalidate` whenever a star is created or retired, and
+    the next read derives the lists afresh.  Each list is sorted by a
+    total key, so its order does not depend on the order in which the
+    stars were created.
+    """
 
     def __init__(self, catalog: StarCatalog) -> None:
         self._catalog = catalog
-        self._lists: Dict[str, _LazySortedList] = {}
-        # Size list: every live star ordered by leaf size.
-        self._size_list = _LazySortedList(key=_size_sort_key)
+        # (label -> grouped list, size list), or None until the next read.
+        self._view: Optional[
+            Tuple[Dict[str, List[LowerEntry]], List[LowerEntry]]
+        ] = None
+
+    def invalidate(self) -> None:
+        """Drop the derived lists: the set of live stars changed."""
+        self._view = None
+
+    def _derived(self) -> Tuple[Dict[str, List[LowerEntry]], List[LowerEntry]]:
+        view = self._view
+        if view is None:
+            lists: Dict[str, List[LowerEntry]] = {}
+            size_list: List[LowerEntry] = []
+            catalog = self._catalog
+            for sid in catalog.live_sids():
+                star = catalog.star(sid)
+                size = star.leaf_size
+                size_list.append(LowerEntry(sid, 0, size))
+                for label, freq in Counter(star.leaves).items():
+                    lists.setdefault(label, []).append(LowerEntry(sid, freq, size))
+            for postings in lists.values():
+                postings.sort(key=_lower_sort_key)
+            size_list.sort(key=_size_sort_key)
+            view = self._view = (lists, size_list)
+        return view
 
     def labels(self) -> Iterable[str]:
-        return self._lists.keys()
-
-    def add_star(self, sid: int, star: Star) -> None:
-        """Op2/Op4: index a newly created star under each of its leaf labels."""
-        for label, freq in sorted(Counter(star.leaves).items()):
-            postings = self._lists.get(label)
-            if postings is None:
-                postings = self._lists[label] = _LazySortedList(key=_lower_sort_key)
-            postings.data[sid] = LowerEntry(sid, freq, star.leaf_size)
-            postings.invalidate()
-        self._size_list.data[sid] = LowerEntry(sid, 0, star.leaf_size)
-        self._size_list.invalidate()
-
-    def remove_star(self, sid: int, star: Star) -> None:
-        """Op2/Op4: un-index a dead star from each of its leaf labels."""
-        for label in set(star.leaves):
-            postings = self._lists.get(label)
-            if postings is None or sid not in postings.data:
-                raise IndexCorruptionError(f"missing lower posting ({label}, {sid})")
-            del postings.data[sid]
-            if postings.data:
-                postings.invalidate()
-            else:
-                del self._lists[label]
-        if sid not in self._size_list.data:
-            raise IndexCorruptionError(f"star {sid} missing from the size list")
-        del self._size_list.data[sid]
-        self._size_list.invalidate()
+        return self._derived()[0].keys()
 
     def label_list(self, label: str) -> List[LowerEntry]:
         """Full grouped list under *label* (empty if unknown)."""
-        postings = self._lists.get(label)
-        return list(postings.view()) if postings is not None else []
+        return list(self._derived()[0].get(label, ()))
 
     def split_label_list(
         self, label: str, leaf_size: int
@@ -310,12 +318,8 @@ class LowerLevelIndex:
         Each returned group is frequency-descending; the boundary lookup is
         the O(log |AL|) step of Section V-A.
         """
-        postings = self._lists.get(label)
-        if postings is None:
-            return [], []
-        entries = postings.view()
         groups: List[List[LowerEntry]] = []
-        for entry in entries:
+        for entry in self._derived()[0].get(label, ()):
             if groups and groups[-1][0].leaf_size == entry.leaf_size:
                 groups[-1].append(entry)
             else:
@@ -332,16 +336,17 @@ class LowerLevelIndex:
         order Figure 8 prescribes (the closer |L_i| is to |L_q|, the lower
         the SED contribution, so the low side must be read backwards).
         """
-        entries = self._size_list.view()
+        entries = self._derived()[1]
         cut = bisect_right([e.leaf_size for e in entries], leaf_size)
-        low = list(entries[:cut])
+        low = entries[:cut]
         low.reverse()
-        return low, list(entries[cut:])
+        return low, entries[cut:]
 
     def stats(self) -> Tuple[int, int]:
         """Return ``(number of label lists, total postings incl. size list)``."""
-        total = sum(len(lst.data) for lst in self._lists.values())
-        return len(self._lists), total + len(self._size_list.data)
+        lists, size_list = self._derived()
+        total = sum(len(postings) for postings in lists.values())
+        return len(lists), total + len(size_list)
 
 
 class TwoLevelIndex:
@@ -427,9 +432,8 @@ class TwoLevelIndex:
         self.generation += 1
         for sid in list(counts):
             self.upper.remove(sid, gid)
-            star = self.catalog.star(sid)
             if self.catalog.release(sid, counts[sid]):
-                self.lower.remove_star(sid, star)
+                self.lower.invalidate()
                 self.star_changes.ids.add(sid)
         meta = self._meta.pop(gid)
         self._max_degree_hist[meta.max_degree] -= 1
@@ -469,7 +473,7 @@ class TwoLevelIndex:
             else:
                 self.upper.add(sid, gid, counts[sid], new_meta.order)
             if self.catalog.release(sid):
-                self.lower.remove_star(sid, star)
+                self.lower.invalidate()
                 self.star_changes.ids.add(sid)
 
         self._apply_additions(gid, added)
@@ -492,7 +496,7 @@ class TwoLevelIndex:
         for star in added:
             sid, created = self.catalog.acquire(star)
             if created:
-                self.lower.add_star(sid, star)
+                self.lower.invalidate()
                 self.star_changes.ids.add(sid)
             if counts[sid]:
                 self.upper.remove(sid, gid)
@@ -515,13 +519,4 @@ class TwoLevelIndex:
                 if entry.order != self._meta[gid].order:
                     raise IndexCorruptionError(
                         f"stale order for graph {gid!r} under star {sid}"
-                    )
-        for sid in self.catalog.live_sids():
-            star = self.catalog.star(sid)
-            for label, freq in Counter(star.leaves).items():
-                entries = {e.sid: e for e in self.lower.label_list(label)}
-                entry = entries.get(sid)
-                if entry is None or entry.freq != freq:
-                    raise IndexCorruptionError(
-                        f"lower posting mismatch for star {sid}, label {label!r}"
                     )

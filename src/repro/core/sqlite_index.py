@@ -24,12 +24,13 @@ Schema::
     upper(sid, gid, freq, ord)                         -- upper-level postings
     graph_stars(gid, sid, cnt)                         -- S(g) multisets
 
-Labels must not contain the ``,`` separator (validated on insert); the
-generated corpora and the transaction file format both satisfy this.
+A star's leaves are stored as a JSON array of labels, so any label the
+transaction format allows (``,`` and ``|`` included) round-trips.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -82,16 +83,13 @@ CREATE TABLE IF NOT EXISTS graph_stars (
 
 
 def _encode_leaves(star: Star) -> str:
-    for label in (star.root, *star.leaves):
-        if "," in label:
-            raise ValueError(
-                f"label {label!r} contains ',' — unsupported by the sqlite backend"
-            )
-    return ",".join(star.leaves)
+    # A JSON array: unlike a joined string, no label can make two leaf
+    # tuples encode alike, so ``UNIQUE (root, leaves)`` keys by Star.key.
+    return json.dumps(star.leaves, ensure_ascii=False)
 
 
 def _decode_star(root: str, leaves: str) -> Star:
-    return Star(root, leaves.split(",") if leaves else ())
+    return Star(root, json.loads(leaves))
 
 
 class _SqliteCatalog:

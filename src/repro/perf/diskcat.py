@@ -36,7 +36,6 @@ File layout (all integers little-endian ``int64`` unless noted)::
     │   the eight ColumnarCatalog columns (see below)        │
     │   star refcounts                                       │
     │   upper-level CSR (per-sid postings in Figure-5 order) │
-    │   lower-level permutation (Figure-6 order) + size list │
     ├────────────────────────────────────────────────────────┤
     │ delta region: append-only op journal (see DeltaSegment)│
     └────────────────────────────────────────────────────────┘
@@ -61,9 +60,10 @@ the format does not depend on which one wrote the file.
 Reads are zero-copy: :class:`DiskCatalog` mmaps the file and exposes the
 arrays as ``numpy.frombuffer`` views (or ``memoryview.cast('q')``
 sequences under the pure-Python fallback), :class:`MappedTwoLevelIndex`
-materialises per-label / per-sid views lazily on first touch, and
-:class:`LazyGraphStore` parses graphs on demand from byte ranges of the
-text file.  Worker processes that attach the same sidecar share its
+materialises per-sid views lazily on first touch (the lower level is not
+stored; it is derived from the star columns when TA search first reads
+it), and :class:`LazyGraphStore` parses graphs on demand from byte
+ranges of the text file.  Worker processes that attach the same sidecar share its
 pages.  §IV-C mutations *promote* the mapped index to a plain in-memory
 :class:`~repro.core.index.TwoLevelIndex` transparently.
 
@@ -168,8 +168,6 @@ SECTION_NAMES = (
     "up_gids",
     "up_freqs",
     "up_orders",
-    "low_perm",
-    "size_perm",
 )
 
 #: Optional sections: the per-graph label/degree embedding vectors of the
@@ -471,19 +469,6 @@ def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
             post_freqs.append(freq)
         post_offsets.append(len(post_rows))
 
-    # Figure-6 order per label: leaf size asc, frequency desc, sid asc —
-    # stored as a permutation of global postings positions.
-    low_perm: List[int] = []
-    for lid in range(len(labels)):
-        lo, hi = post_offsets[lid], post_offsets[lid + 1]
-        low_perm.extend(
-            sorted(
-                range(lo, hi),
-                key=lambda i: (leaf_sizes[post_rows[i]], -post_freqs[i], post_rows[i]),
-            )
-        )
-    size_perm = sorted(range(len(stars)), key=lambda row: (leaf_sizes[row], row))
-
     gid_strings = [str(gid) for gid, _ in pairs]
     up_off = [0]
     up_gids: List[int] = []
@@ -547,8 +532,6 @@ def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
         "up_gids": _pack_int64(up_gids),
         "up_freqs": _pack_int64(up_freqs),
         "up_orders": _pack_int64(up_orders),
-        "low_perm": _pack_int64(low_perm),
-        "size_perm": _pack_int64(size_perm),
         "emb_off": _pack_int64(emb_off),
         "emb_lids": _pack_int64(emb_lids),
         "emb_cnts": _pack_int64(emb_cnts),
@@ -645,9 +628,6 @@ def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
     keys, post_freqs = np.unique(leaf_ids * stride + leaf_star, return_counts=True)
     post_lids = keys // stride
     post_rows = keys - post_lids * stride
-    # Figure-6 order per label: leaf size asc, frequency desc, sid asc.
-    low_perm = np.lexsort((post_rows, -post_freqs, leaf_sizes[post_rows], post_lids))
-    size_perm = np.argsort(leaf_sizes, kind="stable")
 
     # Upper-level postings: per sid, graphs by (order, gid string) — one
     # rank per graph replaces a sort per sid.
@@ -690,8 +670,6 @@ def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
         "up_gids": _pack_array(up_gids),
         "up_freqs": _pack_array(gs_cnts[up]),
         "up_orders": _pack_array(order_col[up_gids]),
-        "low_perm": _pack_array(low_perm),
-        "size_perm": _pack_array(size_perm),
         "emb_off": _pack_array(_csr_offsets(emb_graph, n_graphs)),
         "emb_lids": _pack_array(emb_keys - emb_graph * label_stride),
         "emb_cnts": _pack_array(emb_cnts),
@@ -1737,122 +1715,21 @@ class _MappedUpper:
         return disk.n_stars, len(disk.ints("up_gids"))
 
 
-class _MappedLower:
-    """Lower-level facade: Figure-6 label lists + the size list."""
-
-    def __init__(self, owner: "MappedTwoLevelIndex") -> None:
-        self._owner = owner
-        self._label_lists: Dict[str, List] = {}
-        self._size_entries: Optional[List] = None
-        self._label_count: Optional[int] = None
-
-    def _span(self, label: str) -> Optional[Tuple[int, int]]:
-        disk = self._owner._disk
-        lid = disk.label_to_id().get(label)
-        if lid is None:
-            return None
-        poff = disk.ints("cat_poff")
-        lo, hi = int(poff[lid]), int(poff[lid + 1])
-        return (lo, hi) if hi > lo else None
-
-    def labels(self):
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.labels()
-        return [label for label in self._owner._disk.labels() if self._span(label)]
-
-    def label_list(self, label: str) -> List:
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.label_list(label)
-        entries = self._label_lists.get(label)
-        if entries is None:
-            from ..core.index import LowerEntry
-
-            span = self._span(label)
-            if span is None:
-                return []
-            disk = self._owner._disk
-            perm = disk.ints("low_perm")
-            prows = disk.ints("cat_prows")
-            pfreqs = disk.ints("cat_pfreqs")
-            lsize = disk.ints("cat_lsize")
-            entries = self._label_lists[label] = [
-                LowerEntry(
-                    int(prows[int(perm[i])]),
-                    int(pfreqs[int(perm[i])]),
-                    int(lsize[int(prows[int(perm[i])])]),
-                )
-                for i in range(span[0], span[1])
-            ]
-        return list(entries)
-
-    def split_label_list(self, label: str, leaf_size: int):
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.split_label_list(label, leaf_size)
-        entries = self.label_list(label)
-        groups: List[List] = []
-        for entry in entries:
-            if groups and groups[-1][0].leaf_size == entry.leaf_size:
-                groups[-1].append(entry)
-            else:
-                groups.append([entry])
-        boundary = bisect_right([g[0].leaf_size for g in groups], leaf_size)
-        return groups[:boundary], groups[boundary:]
-
-    def _size_list(self) -> List:
-        if self._size_entries is None:
-            from ..core.index import LowerEntry
-
-            disk = self._owner._disk
-            perm = disk.ints("size_perm")
-            lsize = disk.ints("cat_lsize")
-            self._size_entries = [
-                LowerEntry(int(sid), 0, int(lsize[int(sid)])) for sid in perm
-            ]
-        return self._size_entries
-
-    def split_size_list(self, leaf_size: int):
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.split_size_list(leaf_size)
-        entries = self._size_list()
-        cut = bisect_right([e.leaf_size for e in entries], leaf_size)
-        low = list(entries[:cut])
-        low.reverse()
-        return low, list(entries[cut:])
-
-    def stats(self) -> Tuple[int, int]:
-        inner = self._owner._inner
-        if inner is not None:
-            return inner.lower.stats()
-        disk = self._owner._disk
-        if self._label_count is None:
-            poff = disk.ints("cat_poff")
-            self._label_count = sum(
-                1
-                for lid in range(disk.n_labels)
-                if int(poff[lid + 1]) > int(poff[lid])
-            )
-        return self._label_count, len(disk.ints("cat_prows")) + disk.n_stars
-
-
 class MappedTwoLevelIndex:
     """A read-optimised two-level index backed by a mapped sidecar.
 
     Presents the exact surface of :class:`~repro.core.index.TwoLevelIndex`
-    (catalog / upper / lower facades, graph metadata, the generation
-    counter, the three mutators) but starts fully *mapped*: reads
-    materialise only the views they touch.  The first §IV-C mutation
-    **promotes** the whole structure to a plain in-memory
+    (catalog and upper facades, the derived lower level, graph metadata,
+    the generation counter, the three mutators) but starts fully
+    *mapped*: reads materialise only the views they touch.  The first
+    §IV-C mutation **promotes** the whole structure to a plain in-memory
     ``TwoLevelIndex`` built straight from the arrays — no text parsing —
     after which every call delegates.  Promotion is invisible:
     identical answers before and after.
     """
 
     def __init__(self, disk: DiskCatalog) -> None:
-        from ..core.index import ChangeSet
+        from ..core.index import ChangeSet, LowerLevelIndex
 
         self._disk = disk
         self._inner = None  # type: Optional[object]
@@ -1860,7 +1737,9 @@ class MappedTwoLevelIndex:
         self._star_changes = ChangeSet(self._generation)
         self.catalog = _MappedCatalog(self)
         self.upper = _MappedUpper(self)
-        self.lower = _MappedLower(self)
+        # Derived from the catalog facade on first read; promotion hands
+        # it to the in-memory index, whose mutators invalidate it.
+        self.lower = LowerLevelIndex(self.catalog)
         self._counts_cache: Dict[object, Counter] = {}
         self._max_degree: Optional[int] = None
 
@@ -1903,74 +1782,69 @@ class MappedTwoLevelIndex:
 
     # -- promotion -----------------------------------------------------
     def _materialize(self):
-        """Build the in-memory index from the arrays (idempotent)."""
+        """Build the in-memory index from whole columns (idempotent).
+
+        Each column is read once with ``.tolist()``.  No lower level is
+        built: the promoted index shares this index's derived view,
+        which promotion leaves valid (the live stars do not change).
+        """
         if self._inner is None:
             from ..core.index import (
                 GraphMeta,
-                LowerEntry,
                 TwoLevelIndex,
                 UpperEntry,
                 _LazySortedList,
-                _lower_sort_key,
                 _upper_sort_key,
             )
 
             disk = self._disk
-            n = disk.n_stars
             index = TwoLevelIndex()
             index.generation = self._generation
             index.star_changes = self._star_changes
+            index.lower = self.lower
 
-            stars = [self.catalog.star(sid) for sid in range(n)]
+            labels = disk.labels()
+            loff = disk.ints("cat_loff").tolist()
+            leaves = [labels[lid] for lid in disk.ints("cat_lids").tolist()]
+            stars = [
+                Star(labels[root], leaves[loff[sid] : loff[sid + 1]])
+                for sid, root in enumerate(disk.ints("cat_root").tolist())
+            ]
             catalog = index.catalog
-            catalog._stars = list(stars)
-            catalog._refcount = [int(c) for c in disk.ints("cat_ref")]
+            catalog._stars = stars
+            catalog._refcount = disk.ints("cat_ref").tolist()
             catalog._sid_by_key = {star.key: sid for sid, star in enumerate(stars)}
 
-            off = disk.ints("up_off")
-            up_gids = disk.ints("up_gids")
-            up_freqs = disk.ints("up_freqs")
-            up_orders = disk.ints("up_orders")
+            # The CSR already holds each star's postings in Figure-5
+            # order, so every list starts with its sorted view in place.
             gid_list = disk.gid_list()
-            for sid in range(n):
+            entries = [
+                UpperEntry(gid_list[gidx], freq, order)
+                for gidx, freq, order in zip(
+                    disk.ints("up_gids").tolist(),
+                    disk.ints("up_freqs").tolist(),
+                    disk.ints("up_orders").tolist(),
+                )
+            ]
+            up_off = disk.ints("up_off").tolist()
+            for sid in range(len(stars)):
                 postings = _LazySortedList(key=_upper_sort_key)
-                for i in range(int(off[sid]), int(off[sid + 1])):
-                    gid = gid_list[int(up_gids[i])]
-                    postings.data[gid] = UpperEntry(
-                        gid, int(up_freqs[i]), int(up_orders[i])
-                    )
+                view = entries[up_off[sid] : up_off[sid + 1]]
+                postings.data = {entry.gid: entry for entry in view}
+                postings._view = view
                 index.upper._lists[sid] = postings
 
-            poff = disk.ints("cat_poff")
-            prows = disk.ints("cat_prows")
-            pfreqs = disk.ints("cat_pfreqs")
-            lsize = disk.ints("cat_lsize")
-            for lid, label in enumerate(disk.labels()):
-                lo, hi = int(poff[lid]), int(poff[lid + 1])
-                if lo == hi:
-                    continue
-                postings = _LazySortedList(key=_lower_sort_key)
-                for i in range(lo, hi):
-                    sid = int(prows[i])
-                    postings.data[sid] = LowerEntry(
-                        sid, int(pfreqs[i]), int(lsize[sid])
-                    )
-                index.lower._lists[label] = postings
-            for sid in range(n):
-                index.lower._size_list.data[sid] = LowerEntry(sid, 0, int(lsize[sid]))
-
-            gs_off = disk.ints("gs_off")
-            gs_sids = disk.ints("gs_sids")
-            gs_cnts = disk.ints("gs_cnts")
-            g_order = disk.ints("g_order")
-            g_maxdeg = disk.ints("g_maxdeg")
-            for gidx, gid in enumerate(gid_list):
-                counts: Counter = Counter()
-                for i in range(int(gs_off[gidx]), int(gs_off[gidx + 1])):
-                    counts[int(gs_sids[i])] = int(gs_cnts[i])
-                index._graph_stars[gid] = counts
-                index._meta[gid] = GraphMeta(int(g_order[gidx]), int(g_maxdeg[gidx]))
-                index._max_degree_hist[int(g_maxdeg[gidx])] += 1
+            gs_off = disk.ints("gs_off").tolist()
+            gs_sids = disk.ints("gs_sids").tolist()
+            gs_cnts = disk.ints("gs_cnts").tolist()
+            maxdegs = disk.ints("g_maxdeg").tolist()
+            rows = zip(gid_list, disk.ints("g_order").tolist(), maxdegs)
+            for gidx, (gid, order, maxdeg) in enumerate(rows):
+                lo, hi = gs_off[gidx], gs_off[gidx + 1]
+                counts = dict(zip(gs_sids[lo:hi], gs_cnts[lo:hi]))
+                index._graph_stars[gid] = Counter(counts)
+                index._meta[gid] = GraphMeta(order, maxdeg)
+            index._max_degree_hist = Counter(maxdegs)
 
             self._inner = index
         return self._inner

@@ -47,13 +47,6 @@ class TestMemoryIndexCorruption:
         with pytest.raises(IndexCorruptionError):
             live_index.check_consistency()
 
-    def test_missing_lower_posting_detected(self, live_index):
-        sid = live_index.catalog.sid(Star("a", "bbcc"))
-        star = live_index.catalog.star(sid)
-        live_index.lower.remove_star(sid, star)
-        with pytest.raises(IndexCorruptionError):
-            live_index.check_consistency()
-
     def test_duplicate_upper_posting_rejected_on_insert(self, live_index):
         sid = live_index.catalog.sid(Star("c", "ab"))
         with pytest.raises(IndexCorruptionError):

@@ -141,8 +141,6 @@ class TestPinnedCorpus:
         "up_gids": [4, 0, 4, 0, 1, 1, 2],
         "up_freqs": [1, 1, 1, 1, 2, 1, 1],
         "up_orders": [2, 2, 2, 2, 3, 3, 1],
-        "low_perm": [0, 1, 2],
-        "size_perm": [3, 0, 1, 2],
         "emb_off": [0, 2, 4, 5, 5, 7],
         "emb_lids": [0, 1, 0, 1, 2, 0, 1],
         "emb_cnts": [1, 1, 1, 2, 1, 1, 1],

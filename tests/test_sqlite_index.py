@@ -141,11 +141,15 @@ class TestUpdates:
         with pytest.raises(IndexCorruptionError):
             sql.apply_star_delta("g", [Star("zz", "zz")], [], GraphMeta(5, 4))
 
-    def test_comma_label_rejected(self):
+    def test_comma_label_round_trips(self):
         sql = SqliteTwoLevelIndex()
-        graph = Graph(["a,b"])
-        with pytest.raises(ValueError):
-            sql.add_graph("g", graph, decompose(graph))
+        graph = Graph(["a,b", "c", "b"], [(0, 1), (0, 2)])
+        stars = decompose(graph)
+        sql.add_graph("g", graph, stars)
+        for star in stars:
+            assert sql.catalog.star(sql.catalog.sid(star)) == star
+        assert sql.catalog.sid(Star("a,b", ["b,c"])) is None
+        sql.check_consistency()
 
 
 class TestEngineOnSqlite:

@@ -130,7 +130,7 @@ class TestSqliteControl:
         engine = SegosIndex(graphs, backend="sqlite")
         assert engine.range_query(query, tau=0, verify="exact").matches == {"g2"}
 
-    def test_comma_label_is_rejected_loudly(self):
-        graphs, _ = COMMA_CORPUS
-        with pytest.raises(ValueError, match="unsupported by the sqlite backend"):
-            SegosIndex(graphs, backend="sqlite")
+    def test_comma_corpus_matches(self):
+        graphs, query = COMMA_CORPUS
+        engine = SegosIndex(graphs, backend="sqlite")
+        assert engine.range_query(query, tau=0, verify="exact").matches == {"g2"}
