@@ -258,8 +258,8 @@ class EngineConfig:
         ``pure`` / ``scipy`` / ``auto``; ``None`` means ``auto``.
         Env: ``REPRO_ASSIGNMENT_BACKEND``.
     topk_backend:
-        ``ta`` / ``scan``; ``None`` runs ``scan`` when numpy is importable
-        and ``ta`` (Algorithm 2) otherwise.  Env: ``REPRO_TOPK_BACKEND``.
+        ``ta`` (Algorithm 2) / ``scan``; ``None`` runs ``scan``.
+        Env: ``REPRO_TOPK_BACKEND``.
     batch_workers:
         Worker processes for batch range queries; 1 = serial.
         Env: ``REPRO_BATCH_WORKERS``.

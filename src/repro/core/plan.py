@@ -272,14 +272,9 @@ class EmbedStage(Stage):
             ctx.embed_excluded = frozenset()
             return ctx
         gids, tau = embeddings.gids, ctx.tau
-        if isinstance(bounds, list):  # the pure-Python sweep
-            excluded = [gid for gid, bound in zip(gids, bounds) if bound > tau]
-            bound_sum, bound_max = sum(bounds), max(bounds)
-        else:
-            excluded = [gids[i] for i in (bounds > tau).nonzero()[0].tolist()]
-            bound_sum, bound_max = bounds.sum(), bounds.max()
+        excluded = [gids[i] for i in (bounds > tau).nonzero()[0].tolist()]
         ctx.stats.fold_tier_bounds(
-            "embed", embeddings.n_graphs, float(bound_sum), float(bound_max)
+            "embed", embeddings.n_graphs, float(bounds.sum()), float(bounds.max())
         )
         if excluded:
             ctx.stats.count_prune("embed", len(excluded))

@@ -28,9 +28,9 @@ Both return the *k lexicographically smallest* ``(sed, sid)`` pairs — the
 TA pass halts only when the threshold strictly exceeds the k-th best SED,
 so even tie sids are deterministic and the two backends are result-identical.
 An explicit ``backend`` argument picks one; without it :func:`top_k_stars`
-runs ``scan`` when numpy is importable and TA otherwise.  ``scan`` itself
-falls back to TA on an index with no generation counter (no columnar
-mirror).  The paper benches pin ``ta`` to measure Algorithm 2.
+runs ``scan``.  ``scan`` itself falls back to TA on an index with no
+generation counter (no columnar mirror).  The paper benches pin ``ta`` to
+measure Algorithm 2.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graphs.star import Star, star_edit_distance
-from ..perf.columnar import columnar_snapshot, numpy_available
+from ..perf.columnar import columnar_snapshot
 from .index import LowerEntry, TwoLevelIndex
 from .merge import merge_groups
 
@@ -113,10 +113,10 @@ class _TopKHeap:
 
 
 def resolve_topk_backend(backend: Optional[str] = None) -> str:
-    """The backend a search runs: *backend*, else ``scan`` when numpy is
-    importable and ``ta`` otherwise.  An unknown explicit name raises."""
+    """The backend a search runs: *backend*, else ``scan``.  An unknown
+    explicit name raises."""
     if backend is None:
-        return "scan" if numpy_available() else "ta"
+        return "scan"
     if backend not in TOPK_BACKENDS:
         raise ValueError(
             f"unknown top-k backend {backend!r} (expected one of {TOPK_BACKENDS})"

@@ -31,11 +31,6 @@ Label = str
 Edge = Tuple[int, int]
 
 
-def _normalize_edge(u: int, v: int) -> Edge:
-    """Return the canonical (min, max) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
-
-
 class Graph:
     """A labelled, undirected, simple graph.
 

@@ -13,9 +13,8 @@ configurable via environment variables (see the README's performance table):
   (``REPRO_BATCH_WORKERS`` / ``REPRO_VERIFY_WORKERS``);
 * :mod:`repro.perf.columnar` — a generation-coherent columnar snapshot of
   the star catalog with vectorized batch-SED kernels, backing the ``scan``
-  top-k backend.  ``scan`` is the default when numpy is importable and TA
-  otherwise; ``REPRO_TOPK_BACKEND`` pins either, and a pinned ``scan``
-  without numpy runs the pure-Python kernels;
+  top-k backend.  ``scan`` is the default; ``REPRO_TOPK_BACKEND`` pins
+  either it or TA;
 * :mod:`repro.perf.diskcat` — the zero-copy on-disk index: the ``.segosx``
   mmap sidecar format, lazily-materialising mapped index views, delta
   segments, and the :class:`DiskHandle` that pool workers attach by
@@ -29,7 +28,7 @@ from .assignment import (
     scipy_available,
     solve_assignment,
 )
-from .columnar import ColumnarCatalog, columnar_snapshot, numpy_available
+from .columnar import ColumnarCatalog, columnar_snapshot
 from .diskcat import (
     DiskCatalog,
     DiskHandle,
@@ -50,7 +49,6 @@ __all__ = [
     "columnar_snapshot",
     "default_sidecar_path",
     "effective_workers",
-    "numpy_available",
     "register_backend",
     "resolve_backend",
     "scipy_available",

@@ -34,8 +34,7 @@ Lemma 1 in the ``2·max(|L_q|, |L_i|) − min(|L_q|, |L_i|) − ψ`` form (plus
 the 0/1 root term) against **every** live star in a handful of numpy
 operations, and :meth:`ColumnarCatalog.top_k` turns that into a full-scan
 top-k via ``argpartition`` on a composite ``(sed, sid)`` key — byte-identical
-ordering to the TA backend's tie-break.  When numpy is missing everything
-falls back to pure Python with identical results (a CI leg proves it).
+ordering to the TA backend's tie-break.
 """
 
 from __future__ import annotations
@@ -43,22 +42,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..errors import IndexCorruptionError
-from ..graphs.star import Star, sed_from_psi
-
-try:  # numpy is an optional [perf] extra; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-
-def numpy_available() -> bool:
-    """True when the vectorized kernels can run (numpy importable)."""
-    return _np is not None
-
-
-def _patchable(column) -> bool:
-    return _np is not None and isinstance(column, _np.ndarray)
+from ..graphs.star import Star
 
 
 def _segments(offsets, rows):
@@ -142,24 +129,14 @@ class ColumnarCatalog:
         self.n_rows = len(sids)
         self.label_to_id = label_to_id
         self.max_sid = max(sids) if sids else 0
-        if _np is not None:
-            self.sids = _np.asarray(sids, dtype=_np.int64)
-            self.root_ids = _np.asarray(root_ids, dtype=_np.int64)
-            self.leaf_sizes = _np.asarray(leaf_sizes, dtype=_np.int64)
-            self.leaf_offsets = _np.asarray(leaf_offsets, dtype=_np.int64)
-            self.leaf_ids = _np.asarray(leaf_ids, dtype=_np.int64)
-            self.post_offsets = _np.asarray(post_offsets, dtype=_np.int64)
-            self.post_rows = _np.asarray(post_rows, dtype=_np.int64)
-            self.post_freqs = _np.asarray(post_freqs, dtype=_np.int64)
-        else:
-            self.sids = sids
-            self.root_ids = root_ids
-            self.leaf_sizes = leaf_sizes
-            self.leaf_offsets = leaf_offsets
-            self.leaf_ids = leaf_ids
-            self.post_offsets = post_offsets
-            self.post_rows = post_rows
-            self.post_freqs = post_freqs
+        self.sids = _np.asarray(sids, dtype=_np.int64)
+        self.root_ids = _np.asarray(root_ids, dtype=_np.int64)
+        self.leaf_sizes = _np.asarray(leaf_sizes, dtype=_np.int64)
+        self.leaf_offsets = _np.asarray(leaf_offsets, dtype=_np.int64)
+        self.leaf_ids = _np.asarray(leaf_ids, dtype=_np.int64)
+        self.post_offsets = _np.asarray(post_offsets, dtype=_np.int64)
+        self.post_rows = _np.asarray(post_rows, dtype=_np.int64)
+        self.post_freqs = _np.asarray(post_freqs, dtype=_np.int64)
 
     # ------------------------------------------------------------------
     # Construction
@@ -239,12 +216,11 @@ class ColumnarCatalog:
     ) -> "ColumnarCatalog":
         """Wrap already-built int64 columns without copying.
 
-        ``repro.perf.diskcat`` hands in zero-copy views over mapped pages
-        — numpy ``frombuffer`` arrays, or ``memoryview.cast`` sequences
-        under the pure-Python fallback — and :meth:`patched` its new
-        arrays, each with the precomputed ``max_sid`` so nothing here walks
-        the columns.  Over a sidecar the kernels run directly on the mapped
-        pages, which processes opening the same sidecar share.
+        ``repro.perf.diskcat`` hands in zero-copy numpy ``frombuffer``
+        views over mapped pages, and :meth:`patched` its new arrays, each
+        with the precomputed ``max_sid`` so nothing here walks the columns.
+        Over a sidecar the kernels run directly on the mapped pages, which
+        processes opening the same sidecar share.
         """
         snapshot = object.__new__(cls)
         snapshot.generation = generation
@@ -268,11 +244,8 @@ class ColumnarCatalog:
         generation (``index.star_changes``).  Their rows are dropped and the
         live ones re-read from the catalog; every other row is carried over,
         with label ids remapped and the postings CSR re-derived in numpy.
-        The result equals :meth:`build` column for column.  Without numpy
-        this is a full :meth:`build`.
+        The result equals :meth:`build` column for column.
         """
-        if not _patchable(self.sids):
-            return ColumnarCatalog.build(index, generation)
         catalog = index.catalog
         fresh: List[Tuple[int, Star]] = []
         for sid in sorted(changed):
@@ -358,53 +331,30 @@ class ColumnarCatalog:
         Each row appears at most once per label, so the scatter is a plain
         fancy-indexed ``+=`` (no ``np.add.at`` needed).
         """
-        counts = query.leaf_counter()
-        if _np is not None:
-            psi = _np.zeros(self.n_rows, dtype=_np.int64)
-            for label, count in counts.items():
-                lid = self.label_to_id.get(label)
-                if lid is None:
-                    continue
-                lo = int(self.post_offsets[lid])
-                hi = int(self.post_offsets[lid + 1])
-                rows = self.post_rows[lo:hi]
-                psi[rows] += _np.minimum(self.post_freqs[lo:hi], count)
-            return psi
-        psi = [0] * self.n_rows
-        for label, count in counts.items():
+        psi = _np.zeros(self.n_rows, dtype=_np.int64)
+        for label, count in query.leaf_counter().items():
             lid = self.label_to_id.get(label)
             if lid is None:
                 continue
-            lo, hi = self.post_offsets[lid], self.post_offsets[lid + 1]
-            for i in range(lo, hi):
-                freq = self.post_freqs[i]
-                psi[self.post_rows[i]] += freq if freq < count else count
+            lo = int(self.post_offsets[lid])
+            hi = int(self.post_offsets[lid + 1])
+            rows = self.post_rows[lo:hi]
+            psi[rows] += _np.minimum(self.post_freqs[lo:hi], count)
         return psi
 
     def sed_against_all(self, query: Star):
         """Lemma 1 against every live star in one vectorized sweep.
 
-        Returns an int64 ndarray parallel to :attr:`sids` (a plain list
-        under the pure-Python fallback).  Exactly equal, element-wise, to
-        ``star_edit_distance(query, catalog.star(sid))`` — a hypothesis
-        property test pins this.
+        Returns an int64 ndarray parallel to :attr:`sids`, element-wise
+        equal to ``star_edit_distance(query, catalog.star(sid))`` — a
+        hypothesis property test pins this.
         """
         psi = self.common_leaves_against_all(query)
         lq = query.leaf_size
         rid = self.label_to_id.get(query.root, -1)
-        if _np is not None:
-            t = (self.root_ids != rid).astype(_np.int64)
-            sizes = self.leaf_sizes
-            return (
-                t
-                + 2 * _np.maximum(sizes, lq)
-                - _np.minimum(sizes, lq)
-                - psi
-            )
-        return [
-            sed_from_psi(self.root_ids[row] == rid, lq, self.leaf_sizes[row], psi[row])
-            for row in range(self.n_rows)
-        ]
+        t = (self.root_ids != rid).astype(_np.int64)
+        sizes = self.leaf_sizes
+        return t + 2 * _np.maximum(sizes, lq) - _np.minimum(sizes, lq) - psi
 
     def top_k(self, query: Star, k: int) -> Tuple[List[Tuple[int, int]], int]:
         """Full-scan top-k: the k smallest ``(sed, sid)`` pairs.
@@ -420,21 +370,15 @@ class ColumnarCatalog:
         if n == 0:
             return [], 0
         sed = self.sed_against_all(query)
-        if _np is not None:
-            # Composite (sed, sid) key: sed is O(catalog max degree), sid is
-            # dense, so the product stays far inside int64.
-            key = sed * (self.max_sid + 1) + self.sids
-            if k < n:
-                picked = _np.argpartition(key, k - 1)[:k]
-            else:
-                picked = _np.arange(n)
-            picked = picked[_np.argsort(key[picked])]
-            return (
-                [(int(self.sids[i]), int(sed[i])) for i in picked],
-                n,
-            )
-        scored = sorted(zip(sed, self.sids))
-        return [(sid, d) for d, sid in scored[:k]], n
+        # Composite (sed, sid) key: sed is O(catalog max degree), sid is
+        # dense, so the product stays far inside int64.
+        key = sed * (self.max_sid + 1) + self.sids
+        if k < n:
+            picked = _np.argpartition(key, k - 1)[:k]
+        else:
+            picked = _np.arange(n)
+        picked = picked[_np.argsort(key[picked])]
+        return [(int(self.sids[i]), int(sed[i])) for i in picked], n
 
 
 class GraphEmbeddings:
@@ -486,18 +430,11 @@ class GraphEmbeddings:
         self.n_graphs = len(orders)
         self.gids = list(gids)
         self.label_to_id = label_to_id
-        if _np is not None:
-            self.orders = _np.asarray(orders, dtype=_np.int64)
-            self.edges = _np.asarray(edges, dtype=_np.int64)
-            self.emb_offsets = _np.asarray(emb_offsets, dtype=_np.int64)
-            self.emb_lids = _np.asarray(emb_lids, dtype=_np.int64)
-            self.emb_counts = _np.asarray(emb_counts, dtype=_np.int64)
-        else:
-            self.orders = orders
-            self.edges = edges
-            self.emb_offsets = emb_offsets
-            self.emb_lids = emb_lids
-            self.emb_counts = emb_counts
+        self.orders = _np.asarray(orders, dtype=_np.int64)
+        self.edges = _np.asarray(edges, dtype=_np.int64)
+        self.emb_offsets = _np.asarray(emb_offsets, dtype=_np.int64)
+        self.emb_lids = _np.asarray(emb_lids, dtype=_np.int64)
+        self.emb_counts = _np.asarray(emb_counts, dtype=_np.int64)
 
     @classmethod
     def build(cls, pairs, generation: int) -> "GraphEmbeddings":
@@ -569,10 +506,7 @@ class GraphEmbeddings:
         re-embedded (and only they are read from *graphs*); every other row
         is carried over, with label ids remapped in numpy.  The result
         equals :meth:`build` over ``graphs.items()`` column for column.
-        Without numpy this is a full :meth:`build`.
         """
-        if not _patchable(self.orders):
-            return GraphEmbeddings.build(list(graphs.items()), generation)
         old_row = {gid: row for row, gid in enumerate(self.gids)}
         gids = list(graphs)
         kept_pos: List[int] = []
@@ -643,48 +577,24 @@ class GraphEmbeddings:
     def lower_bounds(self, query):
         """The embedding GED lower bound against every graph, in row order.
 
-        Returns an int64 ndarray (a plain list under the pure-Python
-        fallback), element-wise equal to
+        Returns an int64 ndarray, element-wise equal to
         :func:`repro.graphs.edit_distance.trivial_lower_bound` between the
         query and each database graph — the soundness test pins this.
         """
-        qcounts = Counter(query.label_multiset())
-        q_order = query.order
-        q_edges = query.size
-        if _np is not None:
-            qvec = _np.zeros(len(self.label_to_id) + 1, dtype=_np.int64)
-            for label, count in qcounts.items():
-                lid = self.label_to_id.get(label)
-                if lid is not None:
-                    qvec[lid] = count
-            terms = _np.minimum(self.emb_counts, qvec[self.emb_lids])
-            prefix = _np.zeros(len(terms) + 1, dtype=_np.int64)
-            _np.cumsum(terms, out=prefix[1:])
-            common = prefix[self.emb_offsets[1:]] - prefix[self.emb_offsets[:-1]]
-            return (
-                _np.maximum(self.orders, q_order)
-                - common
-                + _np.abs(self.edges - q_edges)
-            )
-        qmap = {}
-        for label, count in qcounts.items():
+        qvec = _np.zeros(len(self.label_to_id) + 1, dtype=_np.int64)
+        for label, count in Counter(query.label_multiset()).items():
             lid = self.label_to_id.get(label)
             if lid is not None:
-                qmap[lid] = count
-        bounds: List[int] = []
-        for row in range(self.n_graphs):
-            common = 0
-            for i in range(self.emb_offsets[row], self.emb_offsets[row + 1]):
-                qc = qmap.get(self.emb_lids[i], 0)
-                freq = self.emb_counts[i]
-                common += freq if freq < qc else qc
-            order = self.orders[row]
-            bounds.append(
-                (order if order > q_order else q_order)
-                - common
-                + abs(self.edges[row] - q_edges)
-            )
-        return bounds
+                qvec[lid] = count
+        terms = _np.minimum(self.emb_counts, qvec[self.emb_lids])
+        prefix = _np.zeros(len(terms) + 1, dtype=_np.int64)
+        _np.cumsum(terms, out=prefix[1:])
+        common = prefix[self.emb_offsets[1:]] - prefix[self.emb_offsets[:-1]]
+        return (
+            _np.maximum(self.orders, query.order)
+            - common
+            + _np.abs(self.edges - query.size)
+        )
 
 
 def columnar_snapshot(index) -> Optional["ColumnarCatalog"]:

@@ -48,18 +48,15 @@ backends, this makes a mapped engine return *byte-identical* results to
 a rebuilt one — candidates, matches, orderings, all five query modes (a
 hypothesis test pins this).
 
-A full write builds its sections on one of two paths, chosen the way
-:func:`_int64_view` is, by whether numpy imports.  With numpy, one Python
-pass decomposes each graph and emits flat ``(graph, sid)`` star
-occurrences plus each distinct star's root and leaves, and numpy kernels
-(``unique``, ``bincount``, ``lexsort``, ``cumsum``) build every section
-from those arrays.  Without numpy, the original per-section loops run.
-Both emit the same bytes (``tests/test_sidecar_writer.py`` pins this), so
-the format does not depend on which one wrote the file.
+A full write builds its sections in one Python pass plus numpy kernels:
+the pass decomposes each graph and emits flat ``(graph, sid)`` star
+occurrences plus each distinct star's root and leaves, and ``unique``,
+``bincount``, ``lexsort`` and ``cumsum`` build every section from those
+arrays.  ``tests/test_sidecar_writer.py`` compares the bytes with a
+per-section reference writer.
 
 Reads are zero-copy: :class:`DiskCatalog` mmaps the file and exposes the
-arrays as ``numpy.frombuffer`` views (or ``memoryview.cast('q')``
-sequences under the pure-Python fallback), :class:`MappedTwoLevelIndex`
+arrays as ``numpy.frombuffer`` views, :class:`MappedTwoLevelIndex`
 materialises per-sid views lazily on first touch (the lower level is not
 stored; it is derived from the star columns when TA search first reads
 it), and :class:`LazyGraphStore` parses graphs on demand from byte
@@ -84,9 +81,7 @@ import mmap as _mmaplib
 import os
 import re
 import struct
-import sys
 import zlib
-from array import array as _pyarray
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -100,6 +95,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as _np
 
 from ..errors import GraphNotIndexed, IndexCorruptionError, SidecarError, StaleSidecarError
 from ..graphs import io as gio
@@ -115,11 +112,6 @@ from .durability import (
     resolve_fsync_policy,
     resolve_io_plan,
 )
-
-try:  # numpy is an optional [perf] extra; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 MAGIC = b"SEGX"
 DELTA_MAGIC = b"SEGD"
@@ -199,35 +191,17 @@ def file_sha256(path) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# int64 views: numpy frombuffer, or a cast memoryview under the fallback
+# int64 columns: little-endian on disk, numpy in memory
 # ---------------------------------------------------------------------------
 
 def _int64_view(buffer):
-    """A zero-copy int64 sequence over *buffer* (little-endian on disk).
-
-    numpy present: a ``frombuffer`` ndarray view.  Fallback: a
-    ``memoryview.cast('q')`` — indexing, slicing, ``len`` and iteration
-    all work, which is everything the pure-Python kernels need.  On a
-    big-endian host the fallback makes one decoded copy (numpy handles
-    the byte order in the dtype).
-    """
-    if _np is not None:
-        return _np.frombuffer(buffer, dtype="<i8")
-    view = memoryview(buffer)
-    if sys.byteorder == "little":
-        return view.cast("q")
-    decoded = _pyarray("q")  # pragma: no cover - big-endian hosts only
-    decoded.frombytes(view.tobytes())
-    decoded.byteswap()
-    return decoded
+    """A zero-copy int64 ndarray over *buffer* (little-endian on disk)."""
+    return _np.frombuffer(buffer, dtype="<i8")
 
 
-def _pack_int64(values: Sequence[int]) -> bytes:
-    """Pack ints as little-endian int64 bytes."""
-    packed = _pyarray("q", values)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-        packed.byteswap()
-    return packed.tobytes()
+def _pack_array(values) -> bytes:
+    """Pack integers (a sequence or an array) as little-endian int64 bytes."""
+    return _np.ascontiguousarray(values, dtype="<i8").tobytes()
 
 
 def _pack_string_table(strings: Sequence[str]) -> Tuple[bytes, bytes]:
@@ -240,7 +214,7 @@ def _pack_string_table(strings: Sequence[str]) -> Tuple[bytes, bytes]:
         chunks.append(raw)
         total += len(raw)
         offsets.append(total)
-    return _pack_int64(offsets), b"".join(chunks)
+    return _pack_array(offsets), b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -396,159 +370,8 @@ class DiskHandle:
 # Writer
 # ---------------------------------------------------------------------------
 
-def _columnarize(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
-    """Decompose *pairs* into the canonical column arrays.
-
-    Works purely from the graphs (not from a live index), assigning star
-    ids in first-occurrence order — the numbering a rebuild of the same
-    serialisation would produce, which keeps the ``(sed, sid)``
-    tie-breaks byte-identical between mapped and rebuilt engines.
-
-    Two writers produce the same bytes: :func:`_columnarize_numpy` when
-    numpy imports, :func:`_columnarize_pure` otherwise (and as the
-    reference a test compares it with).
-    """
-    if _np is not None:
-        return _columnarize_numpy(pairs)
-    return _columnarize_pure(pairs)
-
-
-def _columnarize_pure(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
-    """The per-section loops of :func:`_columnarize` (no numpy needed)."""
-    key_to_sid: Dict[StarKey, int] = {}
-    stars: List[Star] = []
-    refcount: List[int] = []
-    upper: List[Dict[int, int]] = []  # sid -> {graph index -> freq}
-    orders: List[int] = []
-    maxdegs: List[int] = []
-    graph_counts: List[List[Tuple[int, int]]] = []
-    for gidx, (_, graph) in enumerate(pairs):
-        orders.append(graph.order)
-        maxdegs.append(graph.max_degree())
-        counts: Counter = Counter()
-        for star in decompose(graph):
-            sid = key_to_sid.get(star.key)
-            if sid is None:
-                sid = len(stars)
-                key_to_sid[star.key] = sid
-                stars.append(star)
-                refcount.append(0)
-                upper.append({})
-            counts[sid] += 1
-            refcount[sid] += 1
-        graph_counts.append(sorted(counts.items()))
-        for sid, freq in counts.items():
-            upper[sid][gidx] = freq
-
-    vocabulary = set()
-    for star in stars:
-        vocabulary.add(star.root)
-        vocabulary.update(star.leaves)
-    labels = sorted(vocabulary)
-    label_to_id = {label: i for i, label in enumerate(labels)}
-
-    root_ids: List[int] = []
-    leaf_sizes: List[int] = []
-    leaf_offsets = [0]
-    leaf_ids: List[int] = []
-    per_label: Dict[int, List[Tuple[int, int]]] = {}
-    for row, star in enumerate(stars):
-        root_ids.append(label_to_id[star.root])
-        leaf_sizes.append(star.leaf_size)
-        leaf_ids.extend(label_to_id[leaf] for leaf in star.leaves)
-        leaf_offsets.append(len(leaf_ids))
-        for label, freq in Counter(star.leaves).items():
-            per_label.setdefault(label_to_id[label], []).append((row, freq))
-
-    post_offsets = [0]
-    post_rows: List[int] = []
-    post_freqs: List[int] = []
-    for lid in range(len(labels)):
-        for row, freq in per_label.get(lid, ()):
-            post_rows.append(row)
-            post_freqs.append(freq)
-        post_offsets.append(len(post_rows))
-
-    gid_strings = [str(gid) for gid, _ in pairs]
-    up_off = [0]
-    up_gids: List[int] = []
-    up_freqs: List[int] = []
-    up_orders: List[int] = []
-    for sid in range(len(stars)):
-        postings = sorted(
-            upper[sid].items(), key=lambda kv: (orders[kv[0]], gid_strings[kv[0]])
-        )
-        for gidx, freq in postings:
-            up_gids.append(gidx)
-            up_freqs.append(freq)
-            up_orders.append(orders[gidx])
-        up_off.append(len(up_gids))
-
-    gs_off = [0]
-    gs_sids: List[int] = []
-    gs_cnts: List[int] = []
-    for counts_list in graph_counts:
-        for sid, freq in counts_list:
-            gs_sids.append(sid)
-            gs_cnts.append(freq)
-        gs_off.append(len(gs_sids))
-
-    # Embedding columns (the ``embed`` tier): per-graph label-multiset CSR
-    # + edge counts.  Every vertex label is some star's root label, so the
-    # star vocabulary covers the graph multisets.
-    emb_off = [0]
-    emb_lids: List[int] = []
-    emb_cnts: List[int] = []
-    emb_edges: List[int] = []
-    for _, graph in pairs:
-        emb_edges.append(graph.size)
-        for label, freq in sorted(Counter(graph.label_multiset()).items()):
-            emb_lids.append(label_to_id[label])
-            emb_cnts.append(freq)
-        emb_off.append(len(emb_lids))
-
-    labels_off, labels_blob = _pack_string_table(labels)
-    gids_off, gids_blob = _pack_string_table(gid_strings)
-    return {
-        "labels_off": labels_off,
-        "labels_blob": labels_blob,
-        "gids_off": gids_off,
-        "gids_blob": gids_blob,
-        "g_order": _pack_int64(orders),
-        "g_maxdeg": _pack_int64(maxdegs),
-        "gs_off": _pack_int64(gs_off),
-        "gs_sids": _pack_int64(gs_sids),
-        "gs_cnts": _pack_int64(gs_cnts),
-        "cat_sids": _pack_int64(range(len(stars))),
-        "cat_root": _pack_int64(root_ids),
-        "cat_lsize": _pack_int64(leaf_sizes),
-        "cat_loff": _pack_int64(leaf_offsets),
-        "cat_lids": _pack_int64(leaf_ids),
-        "cat_poff": _pack_int64(post_offsets),
-        "cat_prows": _pack_int64(post_rows),
-        "cat_pfreqs": _pack_int64(post_freqs),
-        "cat_ref": _pack_int64(refcount),
-        "up_off": _pack_int64(up_off),
-        "up_gids": _pack_int64(up_gids),
-        "up_freqs": _pack_int64(up_freqs),
-        "up_orders": _pack_int64(up_orders),
-        "emb_off": _pack_int64(emb_off),
-        "emb_lids": _pack_int64(emb_lids),
-        "emb_cnts": _pack_int64(emb_cnts),
-        "emb_edges": _pack_int64(emb_edges),
-        "_counts": {
-            "n_graphs": len(pairs),
-            "n_stars": len(stars),
-            "n_labels": len(labels),
-            "n_leaf_ids": len(leaf_ids),
-            "n_postings": len(post_rows),
-            "n_upper": len(up_gids),
-        },
-    }
-
-
 def _star_occurrences(pairs: Sequence[Tuple[str, Graph]]):
-    """The Python pass of :func:`_columnarize_numpy`: one walk per graph.
+    """The Python pass of :func:`_columnarize`: one walk per graph.
 
     Decomposes each graph and numbers its stars canonically (first
     occurrence wins).  Returns the per-graph ``orders``, ``maxdegs`` and
@@ -578,11 +401,6 @@ def _star_occurrences(pairs: Sequence[Tuple[str, Graph]]):
     return orders, maxdegs, edges, occ, roots, leaves
 
 
-def _pack_array(values) -> bytes:
-    """Pack a numpy integer array as little-endian int64 bytes."""
-    return _np.ascontiguousarray(values, dtype="<i8").tobytes()
-
-
 def _csr_offsets(owners, count: int):
     """CSR offsets (``count + 1`` of them) of entries grouped by *owners*."""
     offsets = _np.zeros(count + 1, dtype=_np.int64)
@@ -590,14 +408,18 @@ def _csr_offsets(owners, count: int):
     return offsets
 
 
-def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
-    """:func:`_columnarize` as one Python pass plus numpy section kernels.
+def _columnarize(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
+    """Decompose *pairs* into the canonical column arrays.
+
+    Works purely from the graphs (not from a live index), assigning star
+    ids in first-occurrence order — the numbering a rebuild of the same
+    serialisation would produce, which keeps the ``(sed, sid)``
+    tie-breaks byte-identical between mapped and rebuilt engines.
 
     Every section is a sort or a count over the ``(graph, sid)`` star
     occurrences, or over the ``(star, leaf label)`` entries of the
     distinct stars, so ``unique``/``bincount``/``lexsort`` build each one
-    in a single call; the output is byte-identical to
-    :func:`_columnarize_pure`.
+    in a single call.
     """
     np = _np
     orders, maxdegs, edges, occ, roots, leaves = _star_occurrences(pairs)
@@ -653,7 +475,7 @@ def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
         "gids_off": gids_off,
         "gids_blob": gids_blob,
         "g_order": _pack_array(order_col),
-        "g_maxdeg": _pack_int64(maxdegs),
+        "g_maxdeg": _pack_array(maxdegs),
         "gs_off": _pack_array(_csr_offsets(gs_graph, n_graphs)),
         "gs_sids": _pack_array(gs_sids),
         "gs_cnts": _pack_array(gs_cnts),
@@ -673,7 +495,7 @@ def _columnarize_numpy(pairs: Sequence[Tuple[str, Graph]]) -> Dict[str, object]:
         "emb_off": _pack_array(_csr_offsets(emb_graph, n_graphs)),
         "emb_lids": _pack_array(emb_keys - emb_graph * label_stride),
         "emb_cnts": _pack_array(emb_cnts),
-        "emb_edges": _pack_int64(edges),
+        "emb_edges": _pack_array(edges),
         "_counts": {
             "n_graphs": n_graphs,
             "n_stars": n_stars,
@@ -1907,12 +1729,7 @@ class MappedTwoLevelIndex:
             return inner.database_max_degree()
         if self._max_degree is None:
             degrees = self._disk.ints("g_maxdeg")
-            if len(degrees) == 0:
-                self._max_degree = 0
-            elif _np is not None and isinstance(degrees, _np.ndarray):
-                self._max_degree = int(degrees.max())
-            else:
-                self._max_degree = max(degrees)
+            self._max_degree = int(degrees.max()) if len(degrees) else 0
         return self._max_degree
 
     def size_estimate(self) -> int:

@@ -19,7 +19,7 @@ from repro.datasets import aids_like, sample_queries
 from repro.errors import SidecarError, StaleSidecarError
 from repro.graphs import io as gio
 from repro.graphs.model import Graph
-from repro.perf import columnar, diskcat
+from repro.perf import diskcat
 from repro.perf.diskcat import (
     ALIGNMENT,
     HEADER_SIZE,
@@ -149,6 +149,13 @@ class TestSidecarFormat:
     def test_replay_generation_bumps(self):
         ops = [("add", "a", "t"), ("remove", "b", ""), ("update", "c", "t")]
         assert replay_generation_bumps(ops) == 4
+
+    def test_int64_columns_round_trip(self):
+        values = [0, 1, -1, 2**40, -(2**40)]
+        packed = diskcat._pack_array(values)
+        assert len(packed) == 8 * len(values)
+        view = diskcat._int64_view(memoryview(packed))
+        assert [int(x) for x in view] == values
 
 
 class TestMmapLoad:
@@ -472,30 +479,6 @@ class TestWorkerTransports:
             sorted(r.candidates) for r in serial
         ]
         assert results[0].stats.degradations  # loud, never silent
-
-
-class TestPurePythonFallback:
-    def test_mapped_views_without_numpy(self, saved, monkeypatch):
-        data, _, path = saved
-        monkeypatch.setattr(diskcat, "_np", None)
-        monkeypatch.setattr(columnar, "_np", None)
-        mapped = load_index(path)
-        assert mapped.disk_handle() is not None
-        rebuilt = load_index(path, mmap=False)
-        queries = sample_queries(data, 2, seed=23)
-        for q in queries:
-            a = mapped.range_query(q, tau=2, verify="exact")
-            b = rebuilt.range_query(q, tau=2, verify="exact")
-            assert list(a.candidates) == list(b.candidates)
-            assert a.matches == b.matches
-        mapped.check_consistency()
-
-    def test_int64_view_fallback_round_trips(self, monkeypatch):
-        monkeypatch.setattr(diskcat, "_np", None)
-        values = [0, 1, -1, 2**40, -(2**40)]
-        packed = diskcat._pack_int64(values)
-        view = diskcat._int64_view(memoryview(packed))
-        assert [int(x) for x in view] == values
 
 
 class TestLazyGraphStore:

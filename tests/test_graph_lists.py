@@ -22,7 +22,6 @@ from repro.core.ta_search import top_k_stars
 from repro.datasets import aids_like
 from repro.graphs.model import Graph
 from repro.graphs.star import Star, decompose, epsilon_distance
-from repro.perf import columnar, diskcat
 
 
 @pytest.fixture
@@ -114,14 +113,11 @@ def eager_reference(index, star, query_order, topk):
     return small, large
 
 
-def open_engine(backend, graphs, workdir, monkeypatch):
+def open_engine(backend, graphs, workdir):
     if backend in ("memory", "sqlite"):
         return SegosIndex(graphs, backend=backend)
     path = Path(workdir) / "db.segos"
     save_index(SegosIndex(graphs), path)
-    if backend == "mapped-pure":
-        monkeypatch.setattr(diskcat, "_np", None)
-        monkeypatch.setattr(columnar, "_np", None)
     engine = load_index(path)
     assert engine.disk_handle() is not None and not engine.index.promoted
     return engine
@@ -141,7 +137,7 @@ def assert_list_like(lazy, reference):
 class TestLazyLists:
     @settings(max_examples=30, deadline=None)
     @given(
-        backend=st.sampled_from(["memory", "sqlite", "mapped", "mapped-pure"]),
+        backend=st.sampled_from(["memory", "sqlite", "mapped"]),
         seed=st.integers(0, 10_000),
         n=st.integers(2, 10),
         k=st.integers(1, 8),
@@ -154,8 +150,8 @@ class TestLazyLists:
         graphs = aids_like(n, seed=seed, mean_order=6, stddev=2).graphs
         query = graphs[sorted(graphs)[seed % n]]
         query_order = max(1, query.order + order_shift)
-        with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as mp:
-            engine = open_engine(backend, graphs, workdir, mp)
+        with tempfile.TemporaryDirectory() as workdir:
+            engine = open_engine(backend, graphs, workdir)
             cache = {}
             stars = decompose(query)
             lists = build_all_lists(engine.index, stars, query_order, k, topk_cache=cache)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-# These tests grade our solver against scipy's; the no-numpy CI leg skips
+# These tests grade our solver against scipy's; the no-scipy CI leg skips
 # them (the solver itself is pure Python and covered elsewhere).
-np = pytest.importorskip("numpy")
 linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
 
 from repro.matching.hungarian import HungarianSolver, hungarian

@@ -15,8 +15,7 @@ from repro.config import ENV_TOPK_BACKEND
 from repro.core.ta_search import brute_force_top_k, top_k_stars
 from repro.graphs.generators import corpus
 from repro.graphs.star import Star, decompose, star_edit_distance
-from repro.perf import columnar
-from repro.perf.columnar import ColumnarCatalog, columnar_snapshot, numpy_available
+from repro.perf.columnar import ColumnarCatalog, columnar_snapshot
 
 LABELS = "abcd"
 
@@ -100,18 +99,6 @@ class TestSedAgainstAll:
             assert int(sed[row]) == star_edit_distance(
                 query, index.catalog.star(int(sid))
             )
-
-    def test_pure_python_fallback_matches(self, catalog_setup, monkeypatch):
-        index, _ = catalog_setup
-        query = Star("a", "bbcc")
-        with_numpy = ColumnarCatalog.build(index)
-        vec = [int(x) for x in with_numpy.sed_against_all(query)]
-        entries, width = with_numpy.top_k(query, 5)
-        monkeypatch.setattr(columnar, "_np", None)
-        assert not numpy_available()
-        fallback = ColumnarCatalog.build(index)
-        assert fallback.sed_against_all(query) == vec
-        assert fallback.top_k(query, 5) == (entries, width)
 
 
 class TestGenerationCoherence:
@@ -237,9 +224,9 @@ class TestBackendAgreement:
 
 
 class TestPlanner:
-    """The default rule of ``top_k_stars(backend=None)``: ``scan`` when
-    numpy is importable, TA without it or without a generation counter
-    (no columnar mirror).  Every case answers like ``brute_force_top_k``."""
+    """The default rule of ``top_k_stars(backend=None)``: ``scan``, or TA
+    on an index without a generation counter (no columnar mirror).  Every
+    case answers like ``brute_force_top_k``."""
 
     QUERY = Star("a", "bbcc")
 
@@ -250,10 +237,9 @@ class TestPlanner:
 
     def test_k_at_catalog_size_prefers_scan(self, catalog_setup):
         index, _ = catalog_setup
-        expected = "scan" if numpy_available() else "ta"
-        assert self.default_backend(index, index) == expected
+        assert self.default_backend(index, index) == "scan"
         result = top_k_stars(index, self.QUERY, len(index.catalog))
-        assert result.backend == expected
+        assert result.backend == "scan"
         assert result.entries == brute_force_top_k(
             index, self.QUERY, len(index.catalog)
         )
@@ -266,11 +252,6 @@ class TestPlanner:
             lower = index.lower
 
         assert self.default_backend(Shim(), index) == "ta"
-
-    def test_no_numpy_means_ta(self, catalog_setup, monkeypatch):
-        index, _ = catalog_setup
-        monkeypatch.setattr(columnar, "_np", None)
-        assert self.default_backend(index, index) == "ta"
 
 
 class TestBackendResolution:
@@ -288,7 +269,7 @@ class TestBackendResolution:
             engine = SegosIndex(dict(enumerate(graphs)))
             assert engine.top_k_sub_units(query, 2).backend == name
             default = top_k_stars(engine.index, query, 2).backend
-            assert default == ("scan" if numpy_available() else "ta")
+            assert default == "scan"
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         _, graphs = build_index()

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-try:  # only TestHungarianProperties needs these; the no-numpy leg skips it
-    import numpy as np
+try:  # only TestHungarianProperties needs scipy; the no-scipy leg skips it
     from scipy.optimize import linear_sum_assignment
 except ImportError:  # pragma: no cover
-    np = None
+    linear_sum_assignment = None
 
 from repro.core.index import TwoLevelIndex
 from repro.core.ta_search import brute_force_top_k, top_k_stars
@@ -82,7 +82,7 @@ class TestStarProperties:
         assert multiset_intersection_size(a, b) == multiset_intersection_size(b, a)
 
 
-@pytest.mark.skipif(np is None, reason="needs numpy + scipy")
+@pytest.mark.skipif(linear_sum_assignment is None, reason="needs scipy")
 class TestHungarianProperties:
     @given(
         st.integers(min_value=1, max_value=6),

@@ -16,7 +16,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SegosIndex
@@ -26,7 +26,7 @@ from repro.errors import IndexCorruptionError
 from repro.graphs.generators import corpus
 from repro.graphs.model import Graph
 from repro.graphs.star import Star
-from repro.perf import columnar, diskcat
+from repro.perf import diskcat
 from repro.perf.columnar import ColumnarCatalog, GraphEmbeddings, columnar_snapshot
 
 LABELS = "abcde"
@@ -138,24 +138,17 @@ def start_engine(kind: str, rng: random.Random, workdir: Path) -> SegosIndex:
     assert engine.disk_handle() is not None
     if kind == "mapped":
         return engine
-    # Changes saved as a delta segment, which the reopen replays.
-    for serial in range(4):
+    # Changes saved as a delta segment, which the reopen replays.  Any
+    # draw may be a no-op, so draw on until at least one update applied.
+    generation, serial = engine.index.generation, 0
+    while serial < 4 or engine.index.generation == generation:
         apply_update(engine, rng, rng.choice(KINDS), 1000 + serial)
+        serial += 1
     save_index(engine, path)
     assert engine.disk_handle().delta_count > 0
     engine = load_index(path)
     assert engine.disk_handle().delta_ops > 0
     return engine
-
-
-@pytest.fixture(params=["numpy", "pure"])
-def numpy_branch(request, monkeypatch):
-    if request.param == "numpy":
-        if not columnar.numpy_available():
-            pytest.skip("numpy not installed")
-    else:
-        monkeypatch.setattr(columnar, "_np", None)
-    return request.param
 
 
 class TestPatchedEqualsBuild:
@@ -174,7 +167,9 @@ class TestPatchedEqualsBuild:
             st.tuples(st.sampled_from(KINDS), st.booleans()), min_size=1, max_size=10
         ),
     )
-    def test_every_update_kind(self, numpy_branch, engine_kind, seed, steps):
+    # Four no-op draws in a row once left the replayed engine no delta.
+    @example(seed=31139, steps=[("add", False)])
+    def test_every_update_kind(self, engine_kind, seed, steps):
         rng = random.Random(seed)
         with tempfile.TemporaryDirectory() as workdir:
             engine = start_engine(engine_kind, rng, Path(workdir))
@@ -186,7 +181,7 @@ class TestPatchedEqualsBuild:
                     assert_snapshots_fresh(engine, rng)
             assert_snapshots_fresh(engine, rng)
 
-    def test_sqlite_backend(self, numpy_branch):
+    def test_sqlite_backend(self):
         rng = random.Random(3)
         graphs = {f"g{i}": random_graph(rng) for i in range(8)}
         engine = SegosIndex(graphs, backend="sqlite")
@@ -323,8 +318,6 @@ def churn(engine: SegosIndex, rng: random.Random, count: int, serial: int = 0) -
 
 class TestPatchWork:
     def test_embeds_only_the_changed_graphs(self, monkeypatch):
-        if not columnar.numpy_available():
-            pytest.skip("the pure-Python fallback rebuilds")
         multisets = Counting(monkeypatch, Graph, "label_multiset")
         engine = pdg_engine()
         multisets.during(engine.embeddings)
@@ -335,8 +328,6 @@ class TestPatchWork:
         assert patched.n_graphs == len(engine)
 
     def test_columnarises_only_the_changed_stars(self, monkeypatch):
-        if not columnar.numpy_available():
-            pytest.skip("the pure-Python fallback rebuilds")
         engine = pdg_engine()
         columnar_snapshot(engine.index)
         churn(engine, random.Random(2), 8)
@@ -346,8 +337,6 @@ class TestPatchWork:
         assert 0 < stars.calls <= changes < len(engine.index.catalog)
 
     def test_replayed_reopen_parses_no_base_graph(self, monkeypatch, tmp_path):
-        if not columnar.numpy_available():
-            pytest.skip("the pure-Python fallback rebuilds")
         path = tmp_path / "db.segos"
         engine = pdg_engine()
         save_index(engine, path)

@@ -110,8 +110,8 @@ class TestTierSoundness:
     )
     @given(corpus=corpus_st, query=graph_st())
     def test_vectorized_sweep_matches_pairwise_spec(self, corpus, query):
-        # The batch sweep (numpy or pure-Python fallback) must agree
-        # element-wise with the pairwise executable specification.
+        # The batch sweep must agree element-wise with the pairwise
+        # executable specification.
         pairs = [(f"g{i}", g) for i, g in enumerate(corpus)]
         emb = GraphEmbeddings.build(pairs, generation=0)
         swept = emb.lower_bounds(query)
@@ -119,25 +119,6 @@ class TestTierSoundness:
         for (gid, graph), value in zip(pairs, swept):
             assert int(value) == trivial_lower_bound(query, graph), gid
 
-    def test_pure_python_sweep_matches_numpy_sweep(self, monkeypatch):
-        from repro.perf import columnar
-
-        corpus = [
-            Graph(["a", "b", "c"], [(0, 1), (1, 2)]),
-            Graph(["a", "a"], [(0, 1)]),
-            Graph(["x"], []),
-            Graph(["b", "c", "b", "a"], [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        ]
-        pairs = [(f"g{i}", g) for i, g in enumerate(corpus)]
-        query = Graph(["a", "b"], [(0, 1)])
-        emb = GraphEmbeddings.build(pairs, generation=0)
-        with_numpy = [int(v) for v in emb.lower_bounds(query)]
-        monkeypatch.setattr(columnar, "_np", None)
-        without = [int(v) for v in emb.lower_bounds(query)]
-        assert with_numpy == without
-        assert without == [trivial_lower_bound(query, g) for g in corpus]
-
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
     @settings(
         deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
     )
@@ -146,13 +127,9 @@ class TestTierSoundness:
         query=graph_st(),
         tau=st.sampled_from([0, 1, 2, 2.5, 4]),
     )
-    def test_embed_stage_folds_like_per_graph_bounds(self, numpy, corpus, query, tau):
+    def test_embed_stage_folds_like_per_graph_bounds(self, corpus, query, tau):
         # EmbedStage folds the whole sweep at once; its counters and
         # exclusions must equal a per-graph fold of the pairwise bound.
-        from repro.perf import columnar
-
-        if numpy and not columnar.numpy_available():
-            pytest.skip("numpy not installed")
         want = QueryStats()
         excluded = set()
         for i, graph in enumerate(corpus):
@@ -161,12 +138,9 @@ class TestTierSoundness:
             if bound > tau:
                 want.count_prune("embed")
                 excluded.add(f"g{i}")
-        with pytest.MonkeyPatch.context() as patch:
-            if not numpy:
-                patch.setattr(columnar, "_np", None)
-            engine = build_engine(corpus)
-            ctx = make_context(engine, query, tau, config=engine.config)
-            ctx = EmbedStage().run(ctx)
+        engine = build_engine(corpus)
+        ctx = make_context(engine, query, tau, config=engine.config)
+        ctx = EmbedStage().run(ctx)
         assert ctx.stats.tier_bounds == want.tier_bounds
         assert ctx.stats.pruned_by == want.pruned_by
         assert ctx.embed_excluded == frozenset(excluded)
